@@ -1,6 +1,6 @@
 """Batch front door: validate specs, emit tables, certificates, contours.
 
-Exit codes: 0 ok, 2 parse error, 3 validation/assumption failure,
+Exit codes: 0 ok, 2 parse or argument error, 3 validation/assumption failure,
 4 divergent coupling, 5 quadrature failure. The environment variable
 BIMOMENT_TOL overrides the base quadrature tolerance. Output formatting
 is fixed at 17 significant digits so identical inputs produce
@@ -74,11 +74,19 @@ def cmd_validate(args) -> int:
 
 def cmd_moments(args) -> int:
     spec = _load_spec(args.spec)
+    if args.order < 0:
+        print(f"error: --order must be >= 0, got {args.order}", file=sys.stderr)
+        return EXIT_PARSE
     try:
         setup = make_setup(spec)
-        handle = setup.handle(args.contour_x - 1, args.contour_y - 1)
-        table = handle.table(args.order)
-        err = handle.table_errors(args.order)
+        try:
+            handle = setup.handle(args.contour_x - 1, args.contour_y - 1)
+        except IndexError:
+            print(f"error: --contour-x {args.contour_x} --contour-y {args.contour_y} "
+                  f"outside 1..{len(setup.contours_x)} x 1..{len(setup.contours_y)}",
+                  file=sys.stderr)
+            return EXIT_PARSE
+        table, err = handle.table_with_errors(args.order)
     except errors.DivergentCoupling as exc:
         print(f"divergent coupling: {exc}", file=sys.stderr)
         return EXIT_DIVERGENT

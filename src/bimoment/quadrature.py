@@ -7,13 +7,15 @@ Unbounded pieces are truncated where the sampled integrand has dropped
 continued along the path from a fixed anchor point so branch choices do
 not depend on truncation or panel counts.
 
-Double integrals over product contours are evaluated iterated: the inner
-Laplace transform is computed (vectorized in the outer nodes and in the
-monomial power) on every outer panel.
+Double integrals over product contours use a product rule: each contour
+gets one converged Kronrod mesh, adapted against the other contour's
+fixed rule, and a bimoment table is the bilinear form of the two meshes
+with the kernel e^(rho x y).
 """
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -41,26 +43,19 @@ from .weights import (
     trace_sdc,
 )
 
-# 15-point Kronrod nodes/weights with the embedded 7-point Gauss rule
-_XGK = np.array([
-    -0.991455371120813, -0.949107912342759, -0.864864423359769,
-    -0.741531185599394, -0.586087235467691, -0.405845151377397,
-    -0.207784955007898, 0.0, 0.207784955007898, 0.405845151377397,
-    0.586087235467691, 0.741531185599394, 0.864864423359769,
-    0.949107912342759, 0.991455371120813,
-])
-_WGK = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728, 0.204432940075298,
-    0.190350578064785, 0.169004726639267, 0.140653259715525,
-    0.104790010322250, 0.063092092629979, 0.022935322010529,
-])
-_WG = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469, 0.381830050505119, 0.279705391489277,
-    0.129484966168870,
-])
+# 15-point Kronrod nodes/weights with the embedded 7-point Gauss rule, to
+# double precision (QUADPACK qk15); the rule is symmetric about 0
+_XK = [0.9914553711208126, 0.9491079123427585, 0.8648644233597691,
+       0.7415311855993945, 0.5860872354676911, 0.4058451513773972,
+       0.20778495500789848, 0.0]
+_WK = [0.022935322010529224, 0.06309209262997856, 0.10479001032225019,
+       0.14065325971552592, 0.1690047266392679, 0.19035057806478542,
+       0.20443294007529889, 0.20948214108472782]
+_WGH = [0.1294849661688697, 0.27970539148927664, 0.3818300505051189,
+        0.4179591836734694]
+_XGK = np.array([-x for x in _XK[:-1]] + _XK[::-1])
+_WGK = np.array(_WK + _WK[-2::-1])
+_WG = np.array(_WGH + _WGH[-2::-1])
 _GAUSS_IDX = np.arange(1, 15, 2)
 
 MAX_PANELS_PER_PIECE = 2 ** 14
@@ -254,12 +249,14 @@ def _panel_eval(spec: WeightSpec, qp: _QPiece, t0: float, t1: float, gfun):
 
 def integrate_contour(contour: Contour, spec: WeightSpec, gfun, ncomp: int,
                       rtol: Optional[float] = None, atol: float = 0.0,
-                      presplit: int = 1, max_panels: int = MAX_PANELS_PER_PIECE):
+                      presplit: int = 1, max_panels: int = MAX_PANELS_PER_PIECE,
+                      _panels: Optional[list] = None):
     """integral of W(x) g(x) dx over the contour; g vector-valued.
 
     Returns (values, errors) with shapes (ncomp,). Tolerance per
     component is max(atol, rtol * (1 + |I_comp|)); panels split worst
-    first until every component converges.
+    first until every component converges. When _panels is a list, the
+    final panels are appended to it as (piece, t0, t1) in path order.
     """
     if rtol is None:
         rtol = default_tolerance()
@@ -327,6 +324,8 @@ def integrate_contour(contour: Contour, spec: WeightSpec, gfun, ncomp: int,
 
     # deterministic ordered reduction
     order = np.lexsort((meta[:count, 1], meta[:count, 0]))
+    if _panels is not None:
+        _panels.extend((qpieces[int(ip)], t0, t1) for ip, t0, t1 in meta[:count][order])
     total = vals_arr[:count][order].sum(axis=0)
     toterr = errs_arr[:count][order].sum(axis=0)
     totabs = np.abs(vals_arr[:count][order]).sum(axis=0)
@@ -388,17 +387,18 @@ class FunctionalHandle:
     rho: float = 1.0
     _cache: dict = field(default_factory=dict)
 
-    def table(self, N: int, rtol: Optional[float] = None) -> BimomentTable:
+    def table_with_errors(self, N: int, rtol: Optional[float] = None):
+        """(BimomentTable, per-entry errors), computed once per (N, rtol, rho)."""
         key = (N, rtol, self.rho)
         if key not in self._cache:
             self._cache[key] = bimoment_table(self, N, rtol=rtol)
-        return self._cache[key][0]
+        return self._cache[key]
+
+    def table(self, N: int, rtol: Optional[float] = None) -> BimomentTable:
+        return self.table_with_errors(N, rtol)[0]
 
     def table_errors(self, N: int, rtol: Optional[float] = None) -> np.ndarray:
-        key = (N, rtol, self.rho)
-        if key not in self._cache:
-            self._cache[key] = bimoment_table(self, N, rtol=rtol)
-        return self._cache[key][1]
+        return self.table_with_errors(N, rtol)[1]
 
 
 def _gaussian_coupling_guard(handle: FunctionalHandle):
@@ -428,34 +428,129 @@ def _gaussian_coupling_guard(handle: FunctionalHandle):
                 )
 
 
+@dataclass
+class _Mesh:
+    """Converged node set of one contour: nodes x with the weights
+    W(x) dx w_k of the 15-point Kronrod rule (wk) and of its embedded
+    7-point Gauss rule (wg, zero off the Gauss nodes)."""
+
+    x: np.ndarray
+    wk: np.ndarray
+    wg: np.ndarray
+
+
+def _mesh_from_panels(spec: WeightSpec, panels: list) -> _Mesh:
+    """Nodes and weights of the panels handed back by integrate_contour."""
+    xs, wks, wgs = [], [], []
+    for _, group in itertools.groupby(panels, key=lambda p: id(p[0])):
+        group = list(group)
+        qp = group[0][0]
+        t0 = np.array([p[1] for p in group])[:, None]
+        t1 = np.array([p[2] for p in group])[:, None]
+        half = 0.5 * (t1 - t0)
+        t = (0.5 * (t0 + t1) + half * _XGK).ravel()
+        x = qp.geom.point(t)
+        w = spec.weight_tracked(x, qp.thetas(spec, t)) * qp.geom.velocity(t)
+        base = half * w.reshape(-1, len(_XGK))
+        wg = np.zeros_like(base)
+        wg[:, _GAUSS_IDX] = base[:, _GAUSS_IDX] * _WG
+        xs.append(x)
+        wks.append((base * _WGK).ravel())
+        wgs.append(wg.ravel())
+    return _Mesh(np.concatenate(xs), np.concatenate(wks), np.concatenate(wgs))
+
+
+def _adapt_mesh(contour: Contour, spec: WeightSpec, gfun, ncomp: int,
+                rtol: float) -> _Mesh:
+    panels = []
+    integrate_contour(contour, spec, gfun, ncomp, rtol=rtol, _panels=panels)
+    return _mesh_from_panels(spec, panels)
+
+
+def _coupled_mesh(contour: Contour, spec: WeightSpec, other: _Mesh, rho: float,
+                  N: int, rtol: float) -> _Mesh:
+    """Mesh of contour converged for the components
+    u^a sum_k wk_k v_k^b e^(rho u v_k), a, b = 0..N, over the fixed rule
+    (v, wk) of the other contour."""
+    V = other.wk[:, None] * np.vander(other.x, N + 1, increasing=True)
+    ncomp = (N + 1) * (N + 1)
+
+    def gfun(u):
+        S = np.exp(rho * np.multiply.outer(u, other.x)) @ V      # (nu, b)
+        P = np.vander(u, N + 1, increasing=True)                 # (nu, a)
+        return (P.T[:, None, :] * S.T[None, :, :]).reshape(ncomp, len(u))
+
+    return _adapt_mesh(contour, spec, gfun, ncomp, rtol)
+
+
+_KERNEL_ROWS = 16
+
+
+def _product_rule(mx: _Mesh, my: _Mesh, rho: float, N: int):
+    """mu = Vx^T exp(rho x y^T) Vy with Vx[k, n] = wk_k x_k^n, and the
+    per-entry error |mu_KK - mu_GK| + |mu_KK - mu_KG| (Kronrod minus
+    Gauss on each factor), floored at the roundoff 2e-16 (n + m + 2)
+    times the summed |terms|: a term carries the n + m roundings of its
+    powers, and the exponents of the nodes that weigh x^n y^m grow with
+    n + m. The kernel is formed in blocks of rows, never whole."""
+    n1 = N + 1
+    Px = np.vander(mx.x, n1, increasing=True)
+    Py = np.vander(my.x, n1, increasing=True)
+    # Kronrod rule and Kronrod-minus-Gauss side by side
+    X = np.hstack([mx.wk[:, None] * Px, (mx.wk - mx.wg)[:, None] * Px])
+    Y = np.hstack([my.wk[:, None] * Py, (my.wk - my.wg)[:, None] * Py])
+    absY = np.abs(Y[:, :n1])
+    KY = np.empty((len(mx.x), 2 * n1), dtype=complex)
+    absKY = np.empty((len(mx.x), n1))
+    buf = np.empty((_KERNEL_ROWS, len(my.x)), dtype=complex)
+    ry = rho * my.x
+    for r0 in range(0, len(mx.x), _KERNEL_ROWS):
+        rows = slice(r0, r0 + _KERNEL_ROWS)
+        blk = buf[: len(mx.x[rows])]
+        np.multiply.outer(mx.x[rows], ry, out=blk)
+        np.exp(blk, out=blk)
+        KY[rows] = blk @ Y
+        absKY[rows] = np.abs(blk) @ absY
+    acc = X.T @ KY
+    mu = acc[:n1, :n1].copy()
+    err = np.abs(acc[n1:, :n1]) + np.abs(acc[:n1, n1:])
+    ulps = 2e-16 * (np.add.outer(np.arange(n1), np.arange(n1)) + 2)
+    return mu, np.maximum(err, ulps * (np.abs(X[:, :n1]).T @ absKY))
+
+
 def bimoment_table(handle: FunctionalHandle, N: int,
                    rtol: Optional[float] = None):
-    """mu[n, m] = int_Gx W1(x) x^n Psi_m(x) dx with
-    Psi_m(x) = int_Gy y^m W2(y) e^(rho x y) dy, for n, m = 0..N.
+    """mu[n, m] = int_Gx int_Gy W1(x) W2(y) x^n y^m e^(rho x y) dy dx for
+    n, m = 0..N.
 
-    Returns (BimomentTable, per-entry error array). The double integral
-    over the product surface is evaluated iterated; inner transforms are
-    computed on the outer panel nodes, vectorized over m.
+    Returns (BimomentTable, per-entry error array). Each contour gets one
+    converged Kronrod mesh and the table is their bilinear form with the
+    kernel. The meshes alternate: a provisional y mesh for y^m alone, x
+    adapted against the fixed y rule, y against the fixed x rule, for at
+    most two sweeps, stopping early once a re-adapted mesh repeats. The
+    error is Kronrod minus Gauss on both factors (see _product_rule).
     """
+    if N < 0:
+        raise ValueError(f"table order must be >= 0, got {N}")
     if rtol is None:
         rtol = default_tolerance()
     if handle.wx.d < 1 or handle.wy.d < 1:
         raise DivergentCoupling("both marginal weights need d >= 1")
     _gaussian_coupling_guard(handle)
-    inner_rtol = rtol * 1e-2
-    ncomp = (N + 1) * (N + 1)
-
-    def gfun(x):
-        zs = handle.rho * np.asarray(x, dtype=complex)
-        psi, _ = laplace_many(handle.cy, handle.wy, zs, N, rtol=inner_rtol)
-        pows = np.ones((N + 1, len(x)), dtype=complex)
-        for n in range(1, N + 1):
-            pows[n] = pows[n - 1] * x
-        return (pows[:, None, :] * psi[None, :, :]).reshape(ncomp, len(x))
-
-    vals, errs = integrate_contour(handle.cx, handle.wx, gfun, ncomp, rtol=rtol)
-    mu = vals.reshape(N + 1, N + 1)
-    err = errs.reshape(N + 1, N + 1) + inner_rtol * 10 * (1.0 + np.abs(mu))
+    rho = handle.rho
+    my = _adapt_mesh(handle.cy, handle.wy,
+                     lambda y: np.vander(y, N + 1, increasing=True).T, N + 1, rtol)
+    mx = None
+    for _ in range(2):
+        new_x = _coupled_mesh(handle.cx, handle.wx, my, rho, N, rtol)
+        if mx is not None and np.array_equal(new_x.x, mx.x):
+            break
+        mx = new_x
+        new_y = _coupled_mesh(handle.cy, handle.wy, mx, rho, N, rtol)
+        if np.array_equal(new_y.x, my.x):
+            break
+        my = new_y
+    mu, err = _product_rule(mx, my, rho, N)
     table = BimomentTable(mu, np.full((N + 1, N + 1), PROV_QUADRATURE, dtype=np.int8))
     return table, err
 
@@ -624,7 +719,11 @@ class ProblemSetup:
     handles: list  # row-major over (i, j)
 
     def handle(self, i: int, j: int) -> FunctionalHandle:
-        return self.handles[i * len(self.contours_y) + j]
+        """The functional on contour i of x and contour j of y (0-based)."""
+        s1, s2 = len(self.contours_x), len(self.contours_y)
+        if not (0 <= i < s1 and 0 <= j < s2):
+            raise IndexError(f"functional ({i}, {j}) outside 0 <= i < {s1}, 0 <= j < {s2}")
+        return self.handles[i * s2 + j]
 
 
 def make_setup(spec) -> ProblemSetup:

@@ -87,3 +87,20 @@ def shifted_gaussian_moment(p: int, c: float) -> float:
         central = math.gamma((q + 1) / 2.0) / math.gamma(0.5)
         total += math.comb(p, k) * (c / 2.0) ** k * central
     return base * total
+
+
+def quartic_realline_bimoments(N: int, terms: int = 80) -> np.ndarray:
+    """int_R int_R x^n y^m exp(-x^4/4 - y^4/4 + xy) dx dy for n, m = 0..N.
+
+    Expanding e^(xy) gives sum_k M_(n+k) M_(m+k) / k! with the one-sided
+    moments M_j = int_R x^j e^(-x^4/4) dx = 2 4^((j-3)/4) Gamma((j+1)/4)
+    for even j and 0 for odd j.
+    """
+    def M(j):
+        return 0.0 if j % 2 else 2.0 * 4.0 ** ((j - 3) / 4.0) * math.gamma((j + 1) / 4.0)
+
+    out = np.zeros((N + 1, N + 1))
+    for n in range(N + 1):
+        for m in range(N + 1):
+            out[n, m] = sum(M(n + k) * M(m + k) / math.factorial(k) for k in range(terms))
+    return out

@@ -72,6 +72,33 @@ def test_moments_divergent_exit_4(tmp_path):
     assert main(["moments", spec, "--order", "2", "--out", "-"]) == 4
 
 
+def test_moments_contour_x_zero_exit_2(quartic_spec, tmp_path, capsys):
+    """--contour-x 0 used to wrap round to another functional's table."""
+    out = tmp_path / "m.csv"
+    assert main(["moments", quartic_spec, "--contour-x", "0", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--contour-x 0" in err and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_moments_contour_x_too_large_exit_2(quartic_spec, capsys):
+    assert main(["moments", quartic_spec, "--contour-x", "4", "--out", "-"]) == 2
+    assert "outside 1..3 x 1..3" in capsys.readouterr().err
+
+
+def test_moments_contour_y_out_of_range_exit_2(quartic_spec, capsys):
+    assert main(["moments", quartic_spec, "--contour-y", "4", "--out", "-"]) == 2
+    assert main(["moments", quartic_spec, "--contour-y", "0", "--out", "-"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_moments_negative_order_exit_2(gaussian_spec, capsys):
+    assert main(["moments", gaussian_spec, "--order", "-1", "--out", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: --order must be >= 0, got -1"]
+
+
 def test_moments_deterministic(gaussian_spec, tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

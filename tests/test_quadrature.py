@@ -37,7 +37,12 @@ from bimoment.weights import (
     trace_sdc,
 )
 
-from oracles import airy_maclaurin, gaussian_bimoments, gaussian_generating
+from oracles import (
+    airy_maclaurin,
+    gaussian_bimoments,
+    gaussian_generating,
+    quartic_realline_bimoments,
+)
 
 ONE = CPoly.one()
 X = CPoly.x()
@@ -173,6 +178,70 @@ def test_table_caching_is_stable(quartic_setup):
     t1 = h.table(8)
     t2 = h.table(8)
     assert t1 is t2
+
+
+def test_table_and_errors_come_from_one_cached_build(quartic_setup):
+    _, setup = quartic_setup
+    h = setup.handle(2, 0)
+    table, err = h.table_with_errors(4)
+    assert h.table(4) is table
+    assert h.table_errors(4) is err
+    # the cache keeps every table alive: no view into a larger work array
+    assert table.entries.base is None and err.base is None
+    assert table.entries.shape == err.shape == (5, 5)
+
+
+def test_quartic_tables_match_real_line_closed_form(quartic_setup):
+    """The loops of handles (0,0), (0,1), (1,0), (1,1) add up to the real
+    line in both variables, where the e^(xy) series gives the moments."""
+    _, setup = quartic_setup
+    parts = [setup.handle(i, j).table_with_errors(8) for i in (0, 1) for j in (0, 1)]
+    total = sum(t.entries for t, _ in parts)
+    err = sum(e for _, e in parts)
+    want = quartic_realline_bimoments(8)
+    assert want[0, 0] == pytest.approx(8.3900359466875, rel=1e-13)
+    assert np.all(np.abs(total - want) <= err)
+
+
+@pytest.mark.parametrize("rtol", [1e-8, 1e-10, 1e-12])
+def test_gaussian_table_within_stated_error(gauss_setup, rtol):
+    _, setup = gauss_setup
+    table, err = bimoment_table(setup.handle(0, 0), 8, rtol=rtol)
+    want = gaussian_bimoments(2.0, 2.0, 8)
+    assert np.all(np.abs(table.entries - want) <= err)
+
+
+def test_quartic_tables_panel_budget(monkeypatch):
+    """All 9 quartic tables at N=8 once took 17,600 panel evaluations as
+    nested adaptive quadrature; the product rule needs under a quarter."""
+    from bimoment import quadrature
+
+    calls = [0]
+    original = quadrature._panel_eval
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(quadrature, "_panel_eval", counted)
+    spec = validate_spec(CPoly([0, 0, 0, 1]), ONE, CPoly([0, 0, 0, 1]), ONE)
+    for h in make_setup(spec).handles:
+        bimoment_table(h, 8)
+    assert 0 < calls[0] <= 4400
+
+
+def test_negative_order_rejected(gauss_setup):
+    _, setup = gauss_setup
+    with pytest.raises(ValueError):
+        bimoment_table(setup.handle(0, 0), -1)
+
+
+def test_handle_index_out_of_range(quartic_setup):
+    _, setup = quartic_setup
+    assert setup.handle(2, 1) is setup.handles[7]
+    for i, j in ((-1, 0), (0, -1), (3, 0), (0, 3)):
+        with pytest.raises(IndexError):
+            setup.handle(i, j)
 
 
 def test_divergent_coupling_guard():
