@@ -30,14 +30,32 @@ EXIT_VALIDATION = 3
 EXIT_DIVERGENT = 4
 EXIT_NUMERICS = 5
 
+# library errors that end a command: exit code and stderr line; {name} is
+# the exception's class name
+_EXITS = (
+    (errors.DivergentCoupling, EXIT_DIVERGENT, "divergent coupling: {exc}"),
+    ((errors.QuadratureStall, errors.DivergentTail), EXIT_NUMERICS,
+     "quadrature failure: {name}: {exc}"),
+    ((errors.AssumptionBViolated, errors.ZeroGamma), EXIT_VALIDATION,
+     "validation failed: {exc}"),
+)
+
+
+class _Refused(Exception):
+    """Input refused at the command line boundary: one stderr line and an
+    exit code."""
+
+    def __init__(self, code: int, line: str):
+        super().__init__(line)
+        self.code = code
+
 
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot parse {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE)
+        raise _Refused(EXIT_PARSE, f"error: cannot parse {path}: {exc}")
 
 
 def _load_spec(path: str):
@@ -45,12 +63,11 @@ def _load_spec(path: str):
     try:
         return spec_from_json_dict(data)
     except (KeyError, TypeError, ValueError) as exc:
-        print(f"error: malformed spec file: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE)
+        raise _Refused(EXIT_PARSE, f"error: malformed spec file: {exc}")
     except (errors.AssumptionAViolated, errors.AssumptionBViolated,
             errors.DegenerateQuadratic) as exc:
-        print(f"validation failed: {type(exc).__name__}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_VALIDATION)
+        raise _Refused(EXIT_VALIDATION,
+                       f"validation failed: {type(exc).__name__}: {exc}")
 
 
 def _fmt(x: float) -> str:
@@ -75,55 +92,32 @@ def cmd_validate(args) -> int:
 def cmd_moments(args) -> int:
     spec = _load_spec(args.spec)
     if args.order < 0:
-        print(f"error: --order must be >= 0, got {args.order}", file=sys.stderr)
-        return EXIT_PARSE
+        raise _Refused(EXIT_PARSE, f"error: --order must be >= 0, got {args.order}")
+    setup = make_setup(spec)
     try:
-        setup = make_setup(spec)
-        try:
-            handle = setup.handle(args.contour_x - 1, args.contour_y - 1)
-        except IndexError:
-            print(f"error: --contour-x {args.contour_x} --contour-y {args.contour_y} "
-                  f"outside 1..{len(setup.contours_x)} x 1..{len(setup.contours_y)}",
-                  file=sys.stderr)
-            return EXIT_PARSE
-        table, err = handle.table_with_errors(args.order)
-    except errors.DivergentCoupling as exc:
-        print(f"divergent coupling: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENT
-    except (errors.QuadratureStall, errors.DivergentTail) as exc:
-        print(f"quadrature failure: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_NUMERICS
-    except errors.AssumptionBViolated as exc:
-        print(f"validation failed: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        handle = setup.handle(args.contour_x - 1, args.contour_y - 1)
+    except IndexError:
+        raise _Refused(EXIT_PARSE,
+                       f"error: --contour-x {args.contour_x} --contour-y {args.contour_y} "
+                       f"outside 1..{len(setup.contours_x)} x 1..{len(setup.contours_y)}")
+    table, err = handle.table_with_errors(args.order)
     resid = recurrence_residual(spec, table)
-    lines = [f"# recurrence_residual = {_fmt(resid)}", "n,m,re,im,err"]
-    for n in range(args.order + 1):
-        for m in range(args.order + 1):
-            v = table.entries[n, m]
-            lines.append(f"{n},{m},{_fmt(v.real)},{_fmt(v.imag)},{_fmt(err[n, m])}")
-    _write(args.out, "\n".join(lines) + "\n")
+    _write(args.out, table.to_csv(err=err, comment=f"recurrence_residual = {_fmt(resid)}"))
     return EXIT_OK
 
 
 def cmd_certify(args) -> int:
     spec = _load_spec(args.spec)
-    try:
-        setup = make_setup(spec)
-        handles = list(setup.handles)
-        if args.repeat_functional is not None:
-            handles.append(handles[args.repeat_functional])
-        report = independence_certificate(handles, args.order)
-        residuals = [recurrence_residual(spec, h.table(args.order)) for h in handles]
-    except errors.DivergentCoupling as exc:
-        print(f"divergent coupling: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENT
-    except (errors.QuadratureStall, errors.DivergentTail) as exc:
-        print(f"quadrature failure: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_NUMERICS
-    except errors.AssumptionBViolated as exc:
-        print(f"validation failed: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    setup = make_setup(spec)
+    handles = list(setup.handles)
+    k = args.repeat_functional
+    if k is not None:
+        if not 0 <= k < len(handles):
+            raise _Refused(EXIT_PARSE, f"error: --repeat-functional {k} "
+                                       f"outside 0..{len(handles) - 1}")
+        handles.append(handles[k])
+    report = independence_certificate(handles, args.order)
+    residuals = [recurrence_residual(spec, h.table(args.order)) for h in handles]
     print(f"rank {report.rank}/{report.expected}")
     print(f"sigma_min/sigma_max = {_fmt(report.sv_ratio)}")
     for h, r in zip(handles, residuals):
@@ -144,12 +138,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_contours(args) -> int:
-    spec = _load_spec(args.spec)
-    try:
-        setup = make_setup(spec)
-    except errors.AssumptionBViolated as exc:
-        print(f"validation failed: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    setup = make_setup(_load_spec(args.spec))
     wspec = setup.wx if args.marginal == "x" else setup.wy
     contours = setup.contours_x if args.marginal == "x" else setup.contours_y
     payload = [contour_to_json_dict(c, wspec) for c in contours]
@@ -162,20 +151,13 @@ def cmd_favard(args) -> int:
     try:
         rec = recurrence_from_json_dict(data)
     except (KeyError, TypeError, IndexError) as exc:
-        print(f"error: malformed recurrence file: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        table = favard_reconstruct(rec, args.order)
-    except errors.ZeroGamma as exc:
-        print(f"validation failed: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise _Refused(EXIT_PARSE, f"error: malformed recurrence file: {exc}")
+    if not 0 <= args.order <= rec.order:
+        raise _Refused(EXIT_PARSE, f"error: --order {args.order} outside 0..{rec.order}, "
+                                   "the order of the recurrence data")
+    table = favard_reconstruct(rec, args.order)
     resid = favard_verify(rec, table)
-    lines = [f"# roundtrip_residual = {_fmt(resid)}", "n,m,re,im"]
-    for n in range(args.order + 1):
-        for m in range(args.order + 1):
-            v = table.entries[n, m]
-            lines.append(f"{n},{m},{_fmt(v.real)},{_fmt(v.imag)}")
-    _write(args.out, "\n".join(lines) + "\n")
+    _write(args.out, table.to_csv(comment=f"roundtrip_residual = {_fmt(resid)}"))
     return EXIT_OK
 
 
@@ -232,8 +214,15 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_PARSE
+    except _Refused as exc:
+        print(exc, file=sys.stderr)
+        return exc.code
+    except errors.BimomentError as exc:
+        for types, code, line in _EXITS:
+            if isinstance(exc, types):
+                print(line.format(name=type(exc).__name__, exc=exc), file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

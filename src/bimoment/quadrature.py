@@ -9,8 +9,8 @@ not depend on truncation or panel counts.
 
 Double integrals over product contours use a product rule: each contour
 gets one converged Kronrod mesh, adapted against the other contour's
-fixed rule, and a bimoment table is the bilinear form of the two meshes
-with the kernel e^(rho x y).
+fixed rule, and a bimoment table or a value of the generating function
+is the bilinear form of the two meshes with the kernel e^(rho x y).
 """
 from __future__ import annotations
 
@@ -59,6 +59,8 @@ _WG = np.array(_WGH + _WGH[-2::-1])
 _GAUSS_IDX = np.arange(1, 15, 2)
 
 MAX_PANELS_PER_PIECE = 2 ** 14
+# initial panels on a segment longer than 3, before any bisection
+_LONG_SEG_PANELS = 6
 
 
 def default_tolerance() -> float:
@@ -249,7 +251,7 @@ def _panel_eval(spec: WeightSpec, qp: _QPiece, t0: float, t1: float, gfun):
 
 def integrate_contour(contour: Contour, spec: WeightSpec, gfun, ncomp: int,
                       rtol: Optional[float] = None, atol: float = 0.0,
-                      presplit: int = 1, max_panels: int = MAX_PANELS_PER_PIECE,
+                      max_panels: int = MAX_PANELS_PER_PIECE,
                       _panels: Optional[list] = None):
     """integral of W(x) g(x) dx over the contour; g vector-valued.
 
@@ -282,9 +284,9 @@ def integrate_contour(contour: Contour, spec: WeightSpec, gfun, ncomp: int,
         count += 1
 
     for ip, qp in enumerate(qpieces):
-        n0 = presplit
+        n0 = 1
         if isinstance(qp.geom, Seg) and abs(qp.geom.b - qp.geom.a) > 3.0:
-            n0 = max(presplit, 6)
+            n0 = _LONG_SEG_PANELS
         cuts = np.linspace(0.0, 1.0, n0 + 1)
         for i in range(n0):
             push(ip, cuts[i], cuts[i + 1])
@@ -341,16 +343,8 @@ def laplace(contour: Contour, spec: WeightSpec, z: complex, m: int = 0,
     return complex(vals[m, 0])
 
 
-def laplace_with_error(contour: Contour, spec: WeightSpec, z: complex,
-                       m: int = 0, rtol: Optional[float] = None,
-                       presplit: int = 1):
-    vals, errs = laplace_many(contour, spec, np.array([z]), m, rtol=rtol,
-                              presplit=presplit)
-    return complex(vals[m, 0]), float(errs[m, 0])
-
-
 def laplace_many(contour: Contour, spec: WeightSpec, zs: np.ndarray,
-                 max_m: int, rtol: Optional[float] = None, presplit: int = 1):
+                 max_m: int, rtol: Optional[float] = None):
     """All transforms int x^m W e^(xz) dx for m = 0..max_m and each z.
 
     Returns (values, errors) of shape (max_m + 1, len(zs)).
@@ -366,8 +360,7 @@ def laplace_many(contour: Contour, spec: WeightSpec, zs: np.ndarray,
             pows[m] = pows[m - 1] * x
         return (pows[:, None, :] * ez[None, :, :]).reshape(ncomp, len(x))
 
-    vals, errs = integrate_contour(contour, spec, gfun, ncomp, rtol=rtol,
-                                   presplit=presplit)
+    vals, errs = integrate_contour(contour, spec, gfun, ncomp, rtol=rtol)
     return vals.reshape(max_m + 1, nz), errs.reshape(max_m + 1, nz)
 
 
@@ -467,41 +460,70 @@ def _adapt_mesh(contour: Contour, spec: WeightSpec, gfun, ncomp: int,
     return _mesh_from_panels(spec, panels)
 
 
-def _coupled_mesh(contour: Contour, spec: WeightSpec, other: _Mesh, rho: float,
-                  N: int, rtol: float) -> _Mesh:
+def _coupled_mesh(contour: Contour, spec: WeightSpec, cols, other: _Mesh,
+                  other_cols, rho: float, rtol: float) -> _Mesh:
     """Mesh of contour converged for the components
-    u^a sum_k wk_k v_k^b e^(rho u v_k), a, b = 0..N, over the fixed rule
-    (v, wk) of the other contour."""
-    V = other.wk[:, None] * np.vander(other.x, N + 1, increasing=True)
-    ncomp = (N + 1) * (N + 1)
+    cols(u)_a sum_k wk_k other_cols(v_k)_b e^(rho u v_k) over the fixed
+    rule (v, wk) of the other contour. A column function maps nodes of
+    shape (n,) to values of shape (n, ncols)."""
+    V = other.wk[:, None] * other_cols(other.x)
+    ncomp = cols(np.zeros(1)).shape[1] * V.shape[1]
 
     def gfun(u):
         S = np.exp(rho * np.multiply.outer(u, other.x)) @ V      # (nu, b)
-        P = np.vander(u, N + 1, increasing=True)                 # (nu, a)
+        P = cols(u)                                              # (nu, a)
         return (P.T[:, None, :] * S.T[None, :, :]).reshape(ncomp, len(u))
 
     return _adapt_mesh(contour, spec, gfun, ncomp, rtol)
 
 
+def _product_meshes(handle: FunctionalHandle, fx, fy, rtol: Optional[float]):
+    """Converged meshes (mx, my) of the handle's contours for the double
+    integrals of fx(x)_a fy(y)_b e^(rho x y) against W1(x) W2(y), with
+    column functions fx, fy as in _coupled_mesh.
+
+    The meshes alternate: a provisional y mesh for fy alone, x adapted
+    against the fixed y rule, y against the fixed x rule, for at most two
+    sweeps, stopping early once a re-adapted mesh repeats.
+    """
+    if rtol is None:
+        rtol = default_tolerance()
+    if handle.wx.d < 1 or handle.wy.d < 1:
+        raise DivergentCoupling("both marginal weights need d >= 1")
+    _gaussian_coupling_guard(handle)
+    rho = handle.rho
+    my = _adapt_mesh(handle.cy, handle.wy, lambda y: fy(y).T,
+                     fy(np.zeros(1)).shape[1], rtol)
+    mx = None
+    for _ in range(2):
+        new_x = _coupled_mesh(handle.cx, handle.wx, fx, my, fy, rho, rtol)
+        if mx is not None and np.array_equal(new_x.x, mx.x):
+            break
+        mx = new_x
+        new_y = _coupled_mesh(handle.cy, handle.wy, fy, mx, fx, rho, rtol)
+        if np.array_equal(new_y.x, my.x):
+            break
+        my = new_y
+    return mx, my
+
+
 _KERNEL_ROWS = 16
 
 
-def _product_rule(mx: _Mesh, my: _Mesh, rho: float, N: int):
-    """mu = Vx^T exp(rho x y^T) Vy with Vx[k, n] = wk_k x_k^n, and the
-    per-entry error |mu_KK - mu_GK| + |mu_KK - mu_KG| (Kronrod minus
-    Gauss on each factor), floored at the roundoff 2e-16 (n + m + 2)
-    times the summed |terms|: a term carries the n + m roundings of its
-    powers, and the exponents of the nodes that weigh x^n y^m grow with
-    n + m. The kernel is formed in blocks of rows, never whole."""
-    n1 = N + 1
-    Px = np.vander(mx.x, n1, increasing=True)
-    Py = np.vander(my.x, n1, increasing=True)
+def _product_rule(mx: _Mesh, my: _Mesh, rho: float, Px: np.ndarray, Py: np.ndarray):
+    """The bilinear form F = Xᵀ exp(rho x yᵀ) Y with X[k, a] = wk_k Px[k, a]
+    and Y[l, b] = wk_l Py[l, b], for column values Px, Py at the nodes of
+    mx, my. Returns (F, err, mass): err is |F_KK - F_GK| + |F_KK - F_KG|
+    (Kronrod minus Gauss on each factor) and mass the summed |terms| of
+    each entry, for a roundoff floor. The kernel is formed in blocks of
+    rows, never whole."""
+    na, nb = Px.shape[1], Py.shape[1]
     # Kronrod rule and Kronrod-minus-Gauss side by side
     X = np.hstack([mx.wk[:, None] * Px, (mx.wk - mx.wg)[:, None] * Px])
     Y = np.hstack([my.wk[:, None] * Py, (my.wk - my.wg)[:, None] * Py])
-    absY = np.abs(Y[:, :n1])
-    KY = np.empty((len(mx.x), 2 * n1), dtype=complex)
-    absKY = np.empty((len(mx.x), n1))
+    absY = np.abs(Y[:, :nb])
+    KY = np.empty((len(mx.x), 2 * nb), dtype=complex)
+    absKY = np.empty((len(mx.x), nb))
     buf = np.empty((_KERNEL_ROWS, len(my.x)), dtype=complex)
     ry = rho * my.x
     for r0 in range(0, len(mx.x), _KERNEL_ROWS):
@@ -512,10 +534,9 @@ def _product_rule(mx: _Mesh, my: _Mesh, rho: float, N: int):
         KY[rows] = blk @ Y
         absKY[rows] = np.abs(blk) @ absY
     acc = X.T @ KY
-    mu = acc[:n1, :n1].copy()
-    err = np.abs(acc[n1:, :n1]) + np.abs(acc[:n1, n1:])
-    ulps = 2e-16 * (np.add.outer(np.arange(n1), np.arange(n1)) + 2)
-    return mu, np.maximum(err, ulps * (np.abs(X[:, :n1]).T @ absKY))
+    F = acc[:na, :nb].copy()
+    err = np.abs(acc[na:, :nb]) + np.abs(acc[:na, nb:])
+    return F, err, np.abs(X[:, :na]).T @ absKY
 
 
 def bimoment_table(handle: FunctionalHandle, N: int,
@@ -524,79 +545,67 @@ def bimoment_table(handle: FunctionalHandle, N: int,
     n, m = 0..N.
 
     Returns (BimomentTable, per-entry error array). Each contour gets one
-    converged Kronrod mesh and the table is their bilinear form with the
-    kernel. The meshes alternate: a provisional y mesh for y^m alone, x
-    adapted against the fixed y rule, y against the fixed x rule, for at
-    most two sweeps, stopping early once a re-adapted mesh repeats. The
-    error is Kronrod minus Gauss on both factors (see _product_rule).
+    converged Kronrod mesh (see _product_meshes) and the table is their
+    bilinear form with the kernel in the monomial columns. The error is
+    Kronrod minus Gauss on both factors, floored at the roundoff
+    2e-16 (n + m + 2) times the summed |terms|: a term carries the n + m
+    roundings of its powers, and the exponents of the nodes that weigh
+    x^n y^m grow with n + m.
     """
     if N < 0:
         raise ValueError(f"table order must be >= 0, got {N}")
-    if rtol is None:
-        rtol = default_tolerance()
-    if handle.wx.d < 1 or handle.wy.d < 1:
-        raise DivergentCoupling("both marginal weights need d >= 1")
-    _gaussian_coupling_guard(handle)
-    rho = handle.rho
-    my = _adapt_mesh(handle.cy, handle.wy,
-                     lambda y: np.vander(y, N + 1, increasing=True).T, N + 1, rtol)
-    mx = None
-    for _ in range(2):
-        new_x = _coupled_mesh(handle.cx, handle.wx, my, rho, N, rtol)
-        if mx is not None and np.array_equal(new_x.x, mx.x):
-            break
-        mx = new_x
-        new_y = _coupled_mesh(handle.cy, handle.wy, mx, rho, N, rtol)
-        if np.array_equal(new_y.x, my.x):
-            break
-        my = new_y
-    mu, err = _product_rule(mx, my, rho, N)
+
+    def powers(x):
+        return np.vander(x, N + 1, increasing=True)
+
+    mx, my = _product_meshes(handle, powers, powers, rtol)
+    mu, err, mass = _product_rule(mx, my, handle.rho, powers(mx.x), powers(my.x))
+    ulps = 2e-16 * (np.add.outer(np.arange(N + 1), np.arange(N + 1)) + 2)
     table = BimomentTable(mu, np.full((N + 1, N + 1), PROV_QUADRATURE, dtype=np.int8))
-    return table, err
+    return table, np.maximum(err, ulps * mass)
 
 
 def generating_eval(handle: FunctionalHandle, z: complex, w: complex,
                     rtol: Optional[float] = None) -> complex:
-    """F(z, w) = int_Gx W1(x) e^(xz) Psi(w + rho x) dx, the entire
-    generating function of the handle's bimoments."""
-    if rtol is None:
-        rtol = default_tolerance()
-    if handle.wx.d < 1 or handle.wy.d < 1:
-        raise DivergentCoupling("both marginal weights need d >= 1")
-    _gaussian_coupling_guard(handle)
-    inner_rtol = rtol * 1e-2
+    """F(z, w) = int_Gx int_Gy W1(x) W2(y) e^(xz + yw + rho x y) dy dx, the
+    entire generating function of the handle's bimoments, by the product
+    rule of bimoment_table with the single columns e^(xz) and e^(yw)."""
+    def fx(x):
+        return np.exp(z * x)[:, None]
 
-    def gfun(x):
-        zs = w + handle.rho * np.asarray(x, dtype=complex)
-        psi, _ = laplace_many(handle.cy, handle.wy, zs, 0, rtol=inner_rtol)
-        return (psi[0] * np.exp(np.asarray(x) * z))[None, :]
+    def fy(y):
+        return np.exp(w * y)[:, None]
 
-    vals, _ = integrate_contour(handle.cx, handle.wx, gfun, 1, rtol=rtol)
-    return complex(vals[0])
+    mx, my = _product_meshes(handle, fx, fy, rtol)
+    F, _, _ = _product_rule(mx, my, handle.rho, fx(mx.x), fy(my.x))
+    return complex(F[0, 0])
 
 
 def rho_factorization_check(handle: FunctionalHandle,
                             grid=(-0.25, 0.0, 0.25),
                             rtol: Optional[float] = None) -> float:
-    """Decoupling check at rho = 0: the iterated double integral with unit
-    kernel must factor into Xi(z) * Psi(w). Returns the max relative
-    discrepancy over the (z, w) grid."""
+    """Decoupling check at rho = 0: the double integral with unit kernel,
+    evaluated by generating_eval on product-rule meshes, must factor into
+    Xi(z) * Psi(w) from independent single-contour runs (one laplace_many
+    over the grid per contour). Returns the max relative discrepancy over
+    the (z, w) grid."""
     zero = FunctionalHandle(wx=handle.wx, wy=handle.wy, cx=handle.cx,
                             cy=handle.cy, i=handle.i, j=handle.j, rho=0.0)
+    xi = laplace_many(handle.cx, handle.wx, grid, 0, rtol=rtol)[0][0]
+    psi = laplace_many(handle.cy, handle.wy, grid, 0, rtol=rtol)[0][0]
     worst = 0.0
-    for z in grid:
-        xi = laplace(handle.cx, handle.wx, z, 0, rtol=rtol)
-        for w in grid:
+    for z, xi_z in zip(grid, xi):
+        for w, psi_w in zip(grid, psi):
+            fac = xi_z * psi_w
             it = generating_eval(zero, z, w, rtol=rtol)
-            psi = laplace(handle.cy, handle.wy, w, 0, rtol=rtol)
-            fac = xi * psi
             worst = max(worst, abs(it - fac) / max(1.0, abs(fac)))
     return worst
 
 
 def rho_sweep(handle: FunctionalHandle, rhos, z: complex = 0.2, w: complex = -0.1,
               rtol: Optional[float] = None) -> list:
-    """|A(rho) - Xi(z)Psi(w)| along a kernel sweep (reported, not asserted)."""
+    """|F(z, w; rho) - Xi(z)Psi(w)| along a kernel sweep, with F from
+    generating_eval (reported, not asserted)."""
     xi = laplace(handle.cx, handle.wx, z, 0, rtol=rtol)
     psi = laplace(handle.cy, handle.wy, w, 0, rtol=rtol)
     out = []

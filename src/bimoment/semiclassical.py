@@ -14,6 +14,7 @@ solves with consistency residuals.
 """
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Optional
 
@@ -94,7 +95,8 @@ def _root_mult(p: CPoly, c: complex) -> int:
 def validate_spec(A1, B1, A2, B2) -> SemiclassicalSpec:
     """Check the degree assumptions and classify the data.
 
-    Raises AssumptionAViolated when deg(B_i)+1 > deg(A_i),
+    Raises ValueError when a coefficient is NaN or infinite,
+    AssumptionAViolated when deg(B_i)+1 > deg(A_i),
     DegenerateQuadratic when both sides are at the quadratic edge and the
     leading 2x2 determinant vanishes, and AssumptionBViolated when a pair
     shares more than one distinct root. A single shared root is legal and
@@ -105,6 +107,8 @@ def validate_spec(A1, B1, A2, B2) -> SemiclassicalSpec:
         CPoly(A2.coeffs if isinstance(A2, CPoly) else A2), \
         CPoly(B2.coeffs if isinstance(B2, CPoly) else B2)
     for name, p in (("A1", A1), ("B1", B1), ("A2", A2), ("B2", B2)):
+        if not all(map(cmath.isfinite, p.coeffs.tolist())):
+            raise ValueError(f"{name} has a non-finite coefficient")
         if p.is_zero():
             raise AssumptionAViolated(f"{name} is identically zero")
     a1, b1 = A1.degree - 1, B1.degree - 1
@@ -375,17 +379,6 @@ class DeltaSolution:
                         * self.c ** (n - q) * self.partner_moments[i + m]
                 mu[n, m] = acc
         return BimomentTable(mu)
-
-    def generating(self, z: complex, w: complex, partner_contour, partner_weight) -> complex:
-        from math import comb
-
-        from .quadrature import laplace
-
-        acc = 0.0 + 0j
-        for i in range(self.j + 1):
-            acc += comb(self.j, i) * z ** (self.j - i) \
-                * laplace(partner_contour, partner_weight, w + self.c, i)
-        return np.exp(self.c * z) * acc
 
 
 def delta_solutions(spec: SemiclassicalSpec, partner_contour, partner_weight,

@@ -55,14 +55,19 @@ class BimomentTable:
     def identity(N: int) -> "BimomentTable":
         return BimomentTable(np.eye(N + 1, dtype=complex))
 
-    def to_csv(self) -> str:
-        """Serialize as n,m,re,im rows at 17 significant digits."""
+    def to_csv(self, err=None, comment: str = None) -> str:
+        """Serialize as n,m,re,im rows at 17 significant digits, with an err
+        column when per-entry errors are given and a leading '# comment'
+        line when a comment is given."""
         buf = io.StringIO()
-        buf.write("n,m,re,im\n")
+        if comment is not None:
+            buf.write(f"# {comment}\n")
+        buf.write("n,m,re,im\n" if err is None else "n,m,re,im,err\n")
         for n in range(self.size + 1):
             for m in range(self.size + 1):
                 v = self.entries[n, m]
-                buf.write(f"{n},{m},{v.real:.17g},{v.imag:.17g}\n")
+                buf.write(f"{n},{m},{v.real:.17g},{v.imag:.17g}")
+                buf.write("\n" if err is None else f",{err[n, m]:.17g}\n")
         return buf.getvalue()
 
     @staticmethod
@@ -154,19 +159,6 @@ class RecurrenceSystem:
         """The monic sequences p_n, s_n generated by the recurrences."""
         ahat, bhat, _ = self.monic_transform()
         return _run_monic(ahat), _run_monic(bhat)
-
-    def normalized_polynomials(self):
-        """The pi_n, sigma_n sequences with their stored normalizations."""
-        p, s = self.monic_polynomials()
-        pis, sigmas = [], []
-        cp, cs = complex(self.pi0), complex(self.sigma0)
-        for n in range(len(p)):
-            pis.append(p[n] * cp)
-            sigmas.append(s[n] * cs)
-            if n < self.order:
-                cp = cp / complex(self.gamma[n])
-                cs = cs / complex(self.gamma_t[n])
-        return pis, sigmas
 
 
 def _run_monic(ahat):

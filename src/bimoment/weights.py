@@ -527,12 +527,6 @@ def saddle_points(spec: WeightSpec, z: complex) -> list:
     return ordered
 
 
-def critical_values(spec: WeightSpec, z: complex) -> list:
-    """S(x_k) = V+(x_k) - x_k z at each saddle; for the pure monomial
-    potential these are -(d/(d+1)) z^((d+1)/d) omega^k."""
-    return [poly_eval(spec.Vplus, x) - x * z for x in saddle_points(spec, z)]
-
-
 def trace_sdc(spec: WeightSpec, z: complex, k: int,
               stokes_margin: float = STOKES_MARGIN,
               t_stop: float = 49.0, step_ratio: float = 1.22) -> Contour:

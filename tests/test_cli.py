@@ -45,6 +45,16 @@ def test_validate_malformed_json_exit_2(tmp_path):
     assert main(["validate", str(path)]) == 2
 
 
+def test_validate_nan_coefficient_exit_2(tmp_path, capsys):
+    """A NaN coefficient once passed with "assumptions: OK"."""
+    spec = write_spec(tmp_path, "nan.json", [0, float("nan")], [1], [0, 2], [1])
+    assert main(["validate", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: malformed spec file: A1 has a non-finite coefficient"]
+
+
 def test_moments_gaussian(gaussian_spec, tmp_path, capsys):
     out = tmp_path / "moments.csv"
     rc = main(["moments", gaussian_spec, "--contour-x", "1", "--contour-y", "1",
@@ -129,6 +139,15 @@ def test_certify_duplicate_forces_failure(quartic_spec, capsys):
     assert "rank 9/10" in capsys.readouterr().out
 
 
+def test_certify_repeat_functional_out_of_range_exit_2(gaussian_spec, capsys):
+    rc = main(["certify", gaussian_spec, "--order", "2", "--skip-asymptotics",
+               "--repeat-functional", "5"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: --repeat-functional 5 outside 0..0"]
+
+
 def test_contours_dump_and_reload(quartic_spec, tmp_path):
     out = tmp_path / "contours.json"
     assert main(["contours", quartic_spec, "--marginal", "x",
@@ -186,6 +205,24 @@ def test_favard_zero_gamma_exit_3(tmp_path):
     path = tmp_path / "rec0.json"
     path.write_text(json.dumps(rec))
     assert main(["favard", str(path), "--order", "2", "--out", "-"]) == 3
+
+
+def test_favard_order_above_stored_exit_2(tmp_path, capsys):
+    rec = {
+        "gamma": [[1.0, 0.0]],
+        "gamma_t": [[1.0, 0.0]],
+        "a": [[[0.0, 0.0]]],
+        "b": [[[0.0, 0.0]]],
+        "pi0": [1.0, 0.0],
+        "sigma0": [1.0, 0.0],
+    }
+    path = tmp_path / "rec1.json"
+    path.write_text(json.dumps(rec))
+    assert main(["favard", str(path), "--order", "3", "--out", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: --order 3 outside 0..1, the order of the recurrence data"]
 
 
 def test_contours_rays_lie_in_declared_sectors(quartic_spec, tmp_path):

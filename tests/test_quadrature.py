@@ -15,7 +15,6 @@ from bimoment.quadrature import (
     independence_certificate,
     laplace,
     laplace_many,
-    laplace_with_error,
     make_setup,
     predicted_leading,
     rho_factorization_check,
@@ -117,11 +116,13 @@ def test_laplace_divergent_direction_rejected():
 
 
 def test_node_doubling_within_error_bound():
+    """A mesh refined to rtol = 1e-13 and the default one differ by no
+    more than their summed stated errors."""
     w = build_weight(CPoly([-2.3, 0, 0, 0, 1]), X)  # x^1.3 e^(-x^4/4)
     key = next(c for c in build_contours(w) if c.kind == "loop_1a")
-    v1, e1 = laplace_with_error(key, w, 0.4, 1, presplit=1)
-    v2, e2 = laplace_with_error(key, w, 0.4, 1, presplit=2)
-    assert abs(v1 - v2) <= e1 + e2
+    v1, e1 = laplace_many(key, w, np.array([0.4]), 1)
+    v2, e2 = laplace_many(key, w, np.array([0.4]), 1, rtol=1e-13)
+    assert np.all(np.abs(v1 - v2) <= e1 + e2)
 
 
 def test_cauchy_deformation_invariance():
@@ -267,6 +268,31 @@ def test_generating_gaussian_closed_form(gauss_setup):
         got = generating_eval(h, z, w)
         want = gaussian_generating(2.0, 2.0, z, w)
         assert abs(got - want) <= 1e-9 * abs(want)
+
+
+@pytest.mark.parametrize("z, w", [(-0.546 + 0.773j, -0.542 + 0.021j), (0.5, 0.5)])
+def test_generating_gaussian_near_coupling_edge(z, w):
+    """delta = 1.216, sigma = 1.201 once raised QuadratureStall and
+    DivergentTail in the nested path."""
+    spec = validate_spec(CPoly([0, 1.216]), ONE, CPoly([0, 1.201]), ONE)
+    got = generating_eval(make_setup(spec).handle(0, 0), z, w)
+    want = gaussian_generating(1.216, 1.201, z, w)
+    assert abs(got - want) <= 1e-9 * abs(want)
+
+
+def test_generating_quartic_real_line_taylor(quartic_setup):
+    """Handles (0,0)+(0,1)+(1,0)+(1,1) add up to the real line, whose
+    generating function is the Taylor series of the closed-form table."""
+    _, setup = quartic_setup
+    N = 30
+    mu = quartic_realline_bimoments(N)
+    inv_fact = np.array([1.0 / math.factorial(k) for k in range(N + 1)])
+    for z, w in ((0.3, -0.2), (0.2 + 0.3j, 0.1j)):
+        zn = inv_fact * z ** np.arange(N + 1)
+        wm = inv_fact * w ** np.arange(N + 1)
+        want = zn @ mu @ wm
+        got = sum(generating_eval(setup.handle(i, j), z, w) for i in (0, 1) for j in (0, 1))
+        assert abs(got - want) <= 1e-10 * abs(want)
 
 
 def test_generating_mixed_derivative_matches_mu11(gauss_setup):

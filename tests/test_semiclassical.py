@@ -61,6 +61,12 @@ def test_validate_assumption_a():
         validate_spec(X, CPoly([0, 0, 1]), X, ONE)  # deg B1 = 2 > deg A1 - 1
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_validate_rejects_nonfinite_coefficient(bad):
+    with pytest.raises(ValueError, match="A1 has a non-finite coefficient"):
+        validate_spec(CPoly([0, bad]), ONE, CPoly([0, 2]), ONE)
+
+
 def test_validate_assumption_b_two_roots():
     A1 = CPoly.from_roots([1.0, -1.0, 3.0])
     B1 = CPoly.from_roots([1.0, -1.0])

@@ -138,6 +138,9 @@ def test_csv_roundtrip_exact():
     t = BimomentTable(ent)
     back = BimomentTable.from_csv(t.to_csv())
     assert np.array_equal(back.entries, t.entries)
+    text = t.to_csv(err=np.abs(ent), comment="note = 1")
+    assert text.splitlines()[:2] == ["# note = 1", "n,m,re,im,err"]
+    assert np.array_equal(BimomentTable.from_csv(text).entries, t.entries)
 
 
 def test_rejects_nonfinite():
