@@ -2,9 +2,9 @@
 
 Exit codes: 0 ok, 2 parse or argument error, 3 validation/assumption failure,
 4 divergent coupling, 5 quadrature failure. The environment variable
-BIMOMENT_TOL overrides the base quadrature tolerance. Output formatting
-is fixed at 17 significant digits so identical inputs produce
-byte-identical files.
+BIMOMENT_TOL overrides the base quadrature tolerance and must be a positive
+finite number (exit 2 otherwise). Output formatting is fixed at 17
+significant digits so identical inputs produce byte-identical files.
 """
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ from . import errors
 from .favard import favard_reconstruct, favard_verify, recurrence_from_json_dict
 from .quadrature import (
     asymptotic_check,
+    default_tolerance,
     independence_certificate,
     make_setup,
 )
@@ -212,6 +213,11 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_favard)
 
     args = ap.parse_args(argv)
+    try:
+        default_tolerance()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     try:
         return args.fn(args)
     except _Refused as exc:

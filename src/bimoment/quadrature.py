@@ -64,14 +64,18 @@ _LONG_SEG_PANELS = 6
 
 
 def default_tolerance() -> float:
-    """Base relative tolerance; BIMOMENT_TOL overrides it."""
+    """Base relative tolerance; BIMOMENT_TOL overrides it and must be a
+    positive finite number (ValueError otherwise)."""
     env = os.environ.get("BIMOMENT_TOL")
-    if env:
-        try:
-            return float(env)
-        except ValueError:
-            pass
-    return 1e-10
+    if not env:
+        return 1e-10
+    try:
+        tol = float(env)
+    except ValueError:
+        tol = math.nan
+    if not 0 < tol < math.inf:
+        raise ValueError(f"BIMOMENT_TOL must be a positive finite number, got {env!r}")
+    return tol
 
 
 # --- path preparation -----------------------------------------------------
@@ -93,13 +97,7 @@ class _QPiece:
         return out
 
     def theta_out(self, spec: WeightSpec) -> dict:
-        t = np.array([1.0])
-        out = {}
-        x = self.geom.point(t)
-        for idx, th0 in self.theta_in.items():
-            X = spec.singularities[idx].location
-            out[idx] = th0 + float(_relative_angle(self.geom, X, x, t)[0])
-        return out
+        return {i: float(th[0]) for i, th in self.thetas(spec, np.array([1.0])).items()}
 
 
 def _relative_angle(geom, X: complex, x: np.ndarray, t: np.ndarray) -> np.ndarray:

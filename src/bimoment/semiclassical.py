@@ -148,54 +148,57 @@ def validate_spec(A1, B1, A2, B2) -> SemiclassicalSpec:
 
 # --- moment recurrences -------------------------------------------------
 
-def _instance_terms(spec: SemiclassicalSpec, which: int, n: int, m: int):
-    """Terms [(i, j, coeff)] of one recurrence instance, as sum = 0.
+def _recurrence_terms(spec: SemiclassicalSpec):
+    """The two recurrences of the module docstring, built once.
 
-    which=1 is the x-side relation at (n, m), which=2 the y-side.
+    Returns terms(side, n, m) -> (I, J, C), arrays of shape
+    (terms, len(n)): the instance at (n, m) of the x side (side 0) or the
+    y side (side 1) is sum_t C_t mu[I_t, J_t] = 0. Each side is a stencil
+    of merged offsets with coefficients c0 + k c1, k = n on the x side
+    and k = m on the y side; a term with a zero coefficient is absent.
     """
-    terms = []
-    if which == 1:
-        for j in range(spec.b1 + 2):
-            terms.append((n + j, m + 1, spec.B1.coeff(j)))
-        if n >= 1:
-            for j in range(spec.b1 + 2):
-                terms.append((n - 1 + j, m, n * spec.B1.coeff(j)))
-        for j in range(spec.a1 + 2):
-            terms.append((n + j, m, -spec.A1.coeff(j)))
-    else:
-        for j in range(spec.b2 + 2):
-            terms.append((n + 1, m + j, spec.B2.coeff(j)))
-        if m >= 1:
-            for j in range(spec.b2 + 2):
-                terms.append((n, m - 1 + j, m * spec.B2.coeff(j)))
-        for j in range(spec.a2 + 2):
-            terms.append((n, m + j, -spec.A2.coeff(j)))
-    # merge duplicate indices
-    acc = {}
-    for i, j, c in terms:
-        if c != 0:
-            acc[(i, j)] = acc.get((i, j), 0.0) + c
-    return [(i, j, c) for (i, j), c in acc.items() if c != 0]
+    stencils = []
+    for A, B, a, b in ((spec.A1, spec.B1, spec.a1, spec.b1),
+                       (spec.A2, spec.B2, spec.a2, spec.b2)):
+        acc = {}  # (offset along the side, across it) -> [c0, c1]
+        for j in range(b + 2):
+            acc[(j, 1)] = [B.coeff(j), 0j]
+            acc[(j - 1, 0)] = [0j, B.coeff(j)]
+        for j in range(a + 2):
+            acc.setdefault((j, 0), [0j, 0j])[0] -= A.coeff(j)
+        # in the order the relation is written
+        keys = sorted((k for k, c in acc.items() if any(c)), key=lambda k: (-k[1], k[0]))
+        along, across = np.array(keys).T[:, :, None]
+        c0, c1 = np.array([acc[k] for k in keys]).T[:, :, None]
+        stencils.append((along, across, c0, c1))
+
+    def terms(side, n, m):
+        along, across, c0, c1 = stencils[side]
+        if side:
+            return across + n, along + m, c0 + m * c1
+        return along + n, across + m, c0 + n * c1
+    return terms
 
 
 def recurrence_residual(spec: SemiclassicalSpec, table: BimomentTable) -> float:
     """Largest relative defect of the two moment recurrences on the table.
 
-    Every instance whose indices all fit in the table contributes
+    Every instance whose present terms all fit in the table contributes
     |sum_t c_t mu_t| / max(1, max_t |c_t mu_t|).
     """
     N = table.size
-    worst = 0.0
-    for which in (1, 2):
-        for n in range(N + 1):
-            for m in range(N + 1):
-                terms = _instance_terms(spec, which, n, m)
-                if any(i > N or j > N for i, j, _ in terms):
-                    continue
-                vals = [c * table.entries[i, j] for i, j, c in terms]
-                scale = max(1.0, max(abs(v) for v in vals))
-                worst = max(worst, abs(sum(vals)) / scale)
-    return worst
+    n, m = (g.ravel() for g in np.indices((N + 1, N + 1)))
+    terms = _recurrence_terms(spec)
+
+    def worst(side):
+        I, J, C = terms(side, n, m)
+        present = C != 0
+        fits = np.all(~present | ((I <= N) & (J <= N)), axis=0)
+        vals = np.where(present, C * table.entries[np.clip(I, 0, N), np.clip(J, 0, N)], 0)
+        defect = np.abs(vals.sum(axis=0)) / np.maximum(1.0, np.abs(vals).max(axis=0))
+        return float(defect[fits].max(initial=0.0))
+    # one side at a time: only one side's (terms, instances) arrays are alive
+    return max(worst(0), worst(1))
 
 
 def propagate_moments(spec: SemiclassicalSpec, seed, N: int,
@@ -221,53 +224,45 @@ def propagate_moments(spec: SemiclassicalSpec, seed, N: int,
     mu[: spec.a1 + 1, : spec.a2 + 1] = seed
     known[: spec.a1 + 1, : spec.a2 + 1] = True
 
-    d1 = spec.a1 + 1
-    d2 = spec.a2 + 1
+    terms = _recurrence_terms(spec)
     for k in range(1, 2 * Ni + 1):
-        # collect usable instances whose top antidiagonal is k
-        rows = []
-        rhs = []
-        unknown_ids = {}
-        insts = []
-        for which, top in ((1, d1), (2, d2)):
-            nm_sum = k - top
-            if nm_sum < 0:
+        # each usable instance whose top antidiagonal is k is one equation
+        # in the unknown entries of that antidiagonal
+        rows, cols, coefs, rhs = [], [], [], []
+        nrows = 0
+        for side, top in ((0, spec.a1 + 1), (1, spec.a2 + 1)):
+            s = k - top
+            if s < 0:
                 continue
-            for n in range(nm_sum + 1):
-                m = nm_sum - n
-                terms = _instance_terms(spec, which, n, m)
-                if any(i > Ni or j > Ni for i, j, _ in terms):
-                    continue
-                if any((i + j < k) and not known[i, j] for i, j, _ in terms):
-                    continue  # depends on an unreachable lower entry
-                insts.append(terms)
-                for i, j, _ in terms:
-                    if i + j == k and not known[i, j] and (i, j) not in unknown_ids:
-                        unknown_ids[(i, j)] = len(unknown_ids)
-        if not unknown_ids:
+            n = np.arange(s + 1)
+            I, J, C = terms(side, n, s - n)
+            present = C != 0
+            inside = (I <= Ni) & (J <= Ni)
+            I, J = np.clip(I, 0, Ni), np.clip(J, 0, Ni)
+            kn = known[I, J]
+            # usable: every present term is inside and known below the frontier
+            usable = np.all(~present | (inside & (kn | (I + J >= k))), axis=0)
+            unk = present & usable & (I + J == k) & ~kn
+            active = unk.any(axis=0)
+            unk, I, J, C = unk[:, active], I[:, active], J[:, active], C[:, active]
+            t, r = np.nonzero(unk)
+            rows.append(nrows + r)
+            cols.append(I[t, r] * (Ni + 1) + J[t, r])
+            coefs.append(C[t, r])
+            rhs.append(-np.where(unk, 0, C * mu[I, J]).sum(axis=0))
+            nrows += int(active.sum())
+        if not nrows:
             continue
-        nunk = len(unknown_ids)
-        for terms in insts:
-            row = np.zeros(nunk, dtype=complex)
-            b = 0.0 + 0j
-            active = False
-            for i, j, c in terms:
-                if (i, j) in unknown_ids:
-                    row[unknown_ids[(i, j)]] += c
-                    active = True
-                else:
-                    b -= c * mu[i, j]
-            if active:
-                rows.append(row)
-                rhs.append(b)
-        if not rows:
-            continue
-        A = np.array(rows)
-        b = np.array(rhs)
+        # unknowns are numbered by their flat index into mu
+        ids, col = np.unique(np.concatenate(cols), return_inverse=True)
+        nunk = len(ids)
+        A = np.zeros((nrows, nunk), dtype=complex)
+        np.add.at(A, (np.concatenate(rows), col), np.concatenate(coefs))
+        b = np.concatenate(rhs)
         # column scaling keeps the rank decision honest
         colnorm = np.linalg.norm(A, axis=0)
         if np.any(colnorm == 0):
-            missing = [ij for ij, idx in unknown_ids.items() if colnorm[idx] == 0]
+            missing = [divmod(int(ij), Ni + 1) for ij in ids[colnorm == 0]]
             raise SingularFrontier(
                 f"antidiagonal {k}: entries {missing} appear in no usable relation"
             )
@@ -281,9 +276,8 @@ def propagate_moments(spec: SemiclassicalSpec, seed, N: int,
         resid = float(np.max(np.abs(A @ x - b)))
         if resid > residual_tol * scale:
             raise InconsistentSeed(resid / scale, residual_tol)
-        for (i, j), idx in unknown_ids.items():
-            mu[i, j] = x[idx]
-            known[i, j] = True
+        mu.flat[ids] = x
+        known.flat[ids] = True
 
     if not np.all(known[: N + 1, : N + 1]):
         holes = np.argwhere(~known[: N + 1, : N + 1])
@@ -395,11 +389,10 @@ def delta_solutions(spec: SemiclassicalSpec, partner_contour, partner_weight,
     K = min(l, r)
     if not (0 <= j <= K - 1):
         raise ValueError(f"delta solution order j must be in [0, {K-1}]")
-    from .quadrature import laplace
+    from .quadrature import laplace_many
 
-    Y = np.array([laplace(partner_contour, partner_weight, c, p)
-                  for p in range(j + N + 1)], dtype=complex)
-    return DeltaSolution(c=complex(c), j=j, partner_moments=Y)
+    Y, _ = laplace_many(partner_contour, partner_weight, np.array([c]), j + N)
+    return DeltaSolution(c=complex(c), j=j, partner_moments=Y[:, 0])
 
 
 # --- JSON serialization (external interface) ---

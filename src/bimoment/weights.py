@@ -282,9 +282,6 @@ class Contour:
     sector_out: Optional[int] = None
     meta: dict = field(default_factory=dict)
 
-    def unbounded(self) -> bool:
-        return any(isinstance(p, (InRay, OutRay)) for p in self.pieces)
-
     def ray_directions(self) -> list:
         out = []
         for p in self.pieces:

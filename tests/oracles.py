@@ -2,12 +2,16 @@
 
 These deliberately avoid the package's quadrature and recurrence code
 paths: Gaussian bimoments come from the covariance recursion, the Airy
-value from its Maclaurin series, and one-sided power integrals from the
-Gamma function.
+value from its Maclaurin series, one-sided power integrals from the
+Gamma function, and recurrence defects from the functional equations in
+polynomial arithmetic.
 """
 import math
 
 import numpy as np
+
+from bimoment.polycore import CPoly
+from bimoment.tables import pair_apply
 
 
 def gaussian_bimoments(delta: float, sigma: float, N: int) -> np.ndarray:
@@ -104,3 +108,33 @@ def quartic_realline_bimoments(N: int, terms: int = 80) -> np.ndarray:
         for m in range(N + 1):
             out[n, m] = sum(M(n + k) * M(m + k) / math.factorial(k) for k in range(terms))
     return out
+
+
+def recurrence_defect(spec, table) -> float:
+    """Largest relative defect of the functional equations on a table.
+
+    With p = x^n and q = y^m the x side reads
+    L(-B1 p' + A1 p | q) - L(B1 p | y q) = 0 and the y side
+    L(p | -B2 q' + A2 q) - L(x p | B2 q) = 0. An instance counts when every
+    term with a nonzero coefficient fits in the table, and its defect is
+    |sum_t c_t mu_t| / max(1, max_t |c_t mu_t|).
+    """
+    N = table.size
+    x, y = CPoly.x(), CPoly.x()
+    worst = 0.0
+    for n in range(N + 1):
+        p = CPoly.monomial(n)
+        for m in range(N + 1):
+            q = CPoly.monomial(m)
+            for (P, S), (Q, T) in (
+                    ((-spec.B1 * p.deriv() + spec.A1 * p, q), (spec.B1 * p, y * q)),
+                    ((p, -spec.B2 * q.deriv() + spec.A2 * q), (x * p, spec.B2 * q))):
+                if max(P.degree, S.degree, Q.degree, T.degree) > N:
+                    continue
+                coeffs = np.zeros((N + 1, N + 1), dtype=complex)
+                coeffs[: len(P.coeffs), : len(S.coeffs)] += np.outer(P.coeffs, S.coeffs)
+                coeffs[: len(Q.coeffs), : len(T.coeffs)] -= np.outer(Q.coeffs, T.coeffs)
+                total = pair_apply(table, P, S) - pair_apply(table, Q, T)
+                scale = max(1.0, float(np.max(np.abs(coeffs * table.entries))))
+                worst = max(worst, abs(total) / scale)
+    return worst

@@ -109,6 +109,17 @@ def test_moments_negative_order_exit_2(gaussian_spec, capsys):
     assert captured.err.splitlines() == ["error: --order must be >= 0, got -1"]
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "nan"])
+def test_bad_tolerance_env_exit_2(gaussian_spec, monkeypatch, capsys, value):
+    """BIMOMENT_TOL=nan once ran to exit 0 with a wrong table."""
+    monkeypatch.setenv("BIMOMENT_TOL", value)
+    assert main(["moments", gaussian_spec, "--order", "2", "--out", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: BIMOMENT_TOL must be a positive finite number, got {value!r}"]
+
+
 def test_moments_deterministic(gaussian_spec, tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

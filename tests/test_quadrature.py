@@ -452,7 +452,8 @@ def test_tolerance_env_override(monkeypatch):
     monkeypatch.setenv("BIMOMENT_TOL", "1e-6")
     assert default_tolerance() == 1e-6
     monkeypatch.setenv("BIMOMENT_TOL", "garbage")
-    assert default_tolerance() == 1e-10
+    with pytest.raises(ValueError, match="BIMOMENT_TOL must be a positive finite number"):
+        default_tolerance()
 
 
 def test_table_reproducible_within_stated_error(gauss_setup):

@@ -22,7 +22,12 @@ from bimoment.semiclassical import (
 )
 from bimoment.tables import BimomentTable
 
-from oracles import gaussian_bimoments, shifted_gaussian_moment
+from oracles import (
+    gaussian_bimoments,
+    quartic_realline_bimoments,
+    recurrence_defect,
+    shifted_gaussian_moment,
+)
 
 X = CPoly.x()
 ONE = CPoly.one()
@@ -97,6 +102,30 @@ def test_propagate_gaussian_matches_oracle():
     assert table[0, 1] == pytest.approx(0.0, abs=1e-12)
     assert table[1, 1] == pytest.approx(mu[0, 0] / 3.0, rel=1e-12)
     assert np.allclose(table.entries, mu, rtol=1e-9, atol=1e-9 * mu[0, 0])
+
+
+def test_propagate_quartic_matches_oracle():
+    """The 3x3 seed block of the real-line quartic table determines the rest."""
+    mu = quartic_realline_bimoments(16)
+    table = propagate_moments(quartic_pair(), mu[:3, :3], 16)
+    assert np.max(np.abs(table.entries - mu)) <= 1e-12 * np.max(np.abs(mu))
+
+
+@pytest.mark.parametrize("coeffs", [
+    ([0.1, -0.2, 0, 1], [1, 0, 1], [1.25, 0, 1], [0, 0.5]),
+    ([0.1, -0.2, 0, 1], [1], [1.25, 0, 1], [0, 0.5]),
+    ([0.3j, 0.2, 0, 1], [1, 0, 1], [0, 0, 0, 1], [1]),
+])
+@pytest.mark.parametrize("N", [0, 1, 6])
+def test_recurrence_residual_matches_functional_equations(coeffs, N):
+    """B1 = 1 + x^2 has an interior zero coefficient, B2 = y/2 a zero
+    constant term; on a random table every instance has a defect of O(1)."""
+    spec = validate_spec(*(CPoly(c) for c in coeffs))
+    rng = np.random.default_rng(N)
+    table = BimomentTable(rng.normal(size=(N + 1, N + 1))
+                          + 1j * rng.normal(size=(N + 1, N + 1)))
+    assert recurrence_residual(spec, table) == pytest.approx(
+        recurrence_defect(spec, table), rel=1e-12)
 
 
 def test_propagate_zero_seed_gives_zero_table():
