@@ -151,7 +151,7 @@ def cmd_favard(args) -> int:
     data = _load_json(args.rec)
     try:
         rec = recurrence_from_json_dict(data)
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise _Refused(EXIT_PARSE, f"error: malformed recurrence file: {exc}")
     if not 0 <= args.order <= rec.order:
         raise _Refused(EXIT_PARSE, f"error: --order {args.order} outside 0..{rec.order}, "

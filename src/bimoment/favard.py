@@ -2,20 +2,17 @@
 
 Given recurrence data (gammas, triangular coefficient arrays, and the
 degree-zero normalizations) there is exactly one bimoment table making
-the generated polynomial sequences biorthogonal. The construction is
-inductive: mu_00 first, then for each N the row mu_{N,j}, the column
-mu_{i,N} (each unknown enters a single orthogonality equation with unit
-coefficient thanks to monicity), and finally the corner mu_{N,N} from
-the diagonal pairing L(p_N|s_N) = gamma_{N-1}*gamma_t_{N-1}, which is
-the ratio of the successive leading-minor products and is linear in the
-corner unknown.
+the generated polynomial sequences biorthogonal. It is the L·D·U
+factorization of the table read backwards: the recurrences generate the
+coefficient rows Cp = L⁻¹ and Cs = U⁻ᵀ of the monic sequences, the
+gammas give the pairings h = diag(D), and mu = Cp⁻¹·diag(h)·Cs⁻ᵀ.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import ZeroGamma
-from .tables import PROV_RECURRENCE, BimomentTable, RecurrenceSystem, pair_apply
+from .tables import PROV_RECURRENCE, BimomentTable, RecurrenceSystem, table_from_factors
 
 
 def favard_reconstruct(rec: RecurrenceSystem, N: int) -> BimomentTable:
@@ -30,58 +27,25 @@ def favard_reconstruct(rec: RecurrenceSystem, N: int) -> BimomentTable:
     if complex(rec.pi0) == 0 or complex(rec.sigma0) == 0:
         raise ZeroGamma(-1, "pi0*sigma0")
     for n in range(N):
-        if complex(rec.gamma[n]) == 0:
-            raise ZeroGamma(n, "gamma")
-        if complex(rec.gamma_t[n]) == 0:
-            raise ZeroGamma(n, "gamma_t")
-
-    ahat, bhat, h = rec.monic_transform()
-    p, s = rec.monic_polynomials()
-    mu = np.zeros((N + 1, N + 1), dtype=complex)
-    mu[0, 0] = h[0]
-    for n in range(1, N + 1):
-        pn = p[n].coeffs
-        # row: 0 = L(p_n | s_j), ascending j < n; unknown mu[n, j] has
-        # coefficient pn[n]*sj[j] = 1 by monicity
-        for j in range(n):
-            sj = s[j].coeffs
-            acc = pn[:n] @ mu[:n, : j + 1] @ sj
-            if j > 0:
-                acc += mu[n, :j] @ sj[:j]
-            mu[n, j] = -acc
-        # column: 0 = L(p_i | s_n), ascending i < n
-        sn = s[n].coeffs
-        for i in range(n):
-            pi = p[i].coeffs
-            acc = pi @ mu[: i + 1, :n] @ sn[:n]
-            if i > 0:
-                acc += pi[:i] @ mu[:i, n]
-            mu[i, n] = -acc
-        # corner: L(p_n | s_n) = h_n, linear in mu[n, n] with unit coefficient
-        acc = pn[:n] @ mu[:n, : n + 1] @ sn + mu[n, :n] @ sn[:n]
-        mu[n, n] = h[n] - acc
+        for name in ("gamma", "gamma_t"):
+            if complex(getattr(rec, name)[n]) == 0:
+                raise ZeroGamma(n, name)
+    mu = table_from_factors(*rec.factors(N))
     return BimomentTable(mu, np.full((N + 1, N + 1), PROV_RECURRENCE, dtype=np.int8))
 
 
 def favard_verify(rec: RecurrenceSystem, table: BimomentTable) -> float:
     """Largest biorthogonality defect of table against rec.
 
-    Rebuilds the polynomial sequences from the recurrence and returns
-    max_{n,m <= N} |L(p_n|s_m) - h_n delta_{nm}| / max(1, max|h|), the
-    monic-frame residual (identically the normalized-sequence defect
-    when all gammas are 1 and pi0*sigma0 = 1).
+    With the coefficient rows Cp, Cs of the sequences the recurrences
+    generate, returns max_{n,m <= N} |(Cp·mu·Csᵀ)[n, m] - h_n delta_{nm}|
+    / max(1, max|h|), the monic-frame residual (identically the
+    normalized-sequence defect when all gammas are 1 and pi0*sigma0 = 1).
     """
     N = min(table.size, rec.order)
-    _, _, h = rec.monic_transform()
-    p, s = rec.monic_polynomials()
-    scale = max(1.0, max(abs(v) for v in h[: N + 1]))
-    worst = 0.0
-    for n in range(N + 1):
-        for m in range(N + 1):
-            expect = h[n] if n == m else 0.0
-            got = pair_apply(table, p[n], s[m])
-            worst = max(worst, abs(got - expect))
-    return worst / scale
+    Cp, h, Cs = rec.factors(N)
+    defect = Cp @ table.entries[: N + 1, : N + 1] @ Cs.T - np.diag(h)
+    return float(np.max(np.abs(defect))) / max(1.0, float(np.max(np.abs(h))))
 
 
 def leading_minor_prediction(rec: RecurrenceSystem, n: int) -> complex:

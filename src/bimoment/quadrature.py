@@ -358,7 +358,10 @@ def laplace_many(contour: Contour, spec: WeightSpec, zs: np.ndarray,
             pows[m] = pows[m - 1] * x
         return (pows[:, None, :] * ez[None, :, :]).reshape(ncomp, len(x))
 
-    vals, errs = integrate_contour(contour, spec, gfun, ncomp, rtol=rtol)
+    # far out on a ray e^(xz) can overflow; _panel_eval refuses such a sample
+    # with QuadratureStall, so numpy need not warn about it as well
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals, errs = integrate_contour(contour, spec, gfun, ncomp, rtol=rtol)
     return vals.reshape(max_m + 1, nz), errs.reshape(max_m + 1, nz)
 
 

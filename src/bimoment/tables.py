@@ -4,7 +4,12 @@ A bimoment table stores mu[n, m] = L(x^n | y^m) for a bilinear moment
 functional L up to a finite order N. Biorthogonal polynomials (BOPs)
 are two monic graded sequences p_n(x), s_n(y) with
 L(p_n | s_m) = h_n * delta_{nm}; they exist iff every leading principal
-minor Delta_n of the table is nonzero, and then h_n = Delta_{n+1}/Delta_n.
+minor Delta_n of the table is nonzero.
+
+This module owns the map between a table and its triangular factors:
+unpivoted, mu = L·D·U, the BOP coefficient rows are Cp = L⁻¹ (row n is p_n)
+and Cs = U⁻ᵀ (row n is s_n), and h_n = D_n = Delta_{n+1}/Delta_n. The
+monic recurrences generate Cp and Cs, and mu = Cp⁻¹·diag(h)·Cs⁻ᵀ.
 """
 from __future__ import annotations
 
@@ -118,74 +123,123 @@ class RecurrenceSystem:
     pi0: complex = 1.0 + 0j
     sigma0: complex = 1.0 + 0j
 
+    def __post_init__(self):
+        N = len(self.gamma)
+        for name, rows in (("gamma_t", self.gamma_t), ("a", self.a), ("b", self.b)):
+            if len(rows) != N:
+                raise ValueError(f"{name} has {len(rows)} entries, gamma has {N}")
+        for name, rows in (("a", self.a), ("b", self.b)):
+            for n, row in enumerate(rows):
+                if len(row) != n + 1:
+                    raise ValueError(f"{name}[{n}] has {len(row)} entries, not {n + 1}")
+
     @property
     def order(self) -> int:
         """Number of recurrence levels stored (polynomials reach this degree)."""
         return len(self.gamma)
 
-    def monic_transform(self):
-        """Monic-recurrence data implied by this system.
+    def _monic(self, N: int):
+        """(Ja, Jb, h) through level N: x*p_n = p_{n+1} + sum_{m<=n} Ja[n, m] p_m
+        for the monic polynomials, Jb the y-side mirror, h[0..N] the pairings."""
+        Ja = _lower(self.a, N) * _chain(self.gamma, N)
+        Jb = _lower(self.b, N) * _chain(self.gamma_t, N)
+        h = np.concatenate(([1.0 / (complex(self.pi0) * complex(self.sigma0))],
+                            np.multiply(self.gamma[:N], self.gamma_t[:N], dtype=complex)))
+        return Ja, Jb, h
 
-        Returns (ahat, bhat, h) where x*p_n = p_{n+1} + sum_j ahat[n][j] p_{n-j}
-        for the monic polynomials, and h[n] is the diagonal pairing chain
-        (h[0] = 1/(pi0*sigma0), h[n] = gamma[n-1]*gamma_t[n-1]).
-        """
-        N = self.order
-        ahat, bhat = [], []
-        for n in range(N):
-            ga = [complex(v) for v in self.a[n]]
-            gb = [complex(v) for v in self.b[n]]
-            arow, brow = [], []
-            for j in range(n + 1):
-                fac_a = np.prod([complex(self.gamma[k]) for k in range(n - j, n)]) if j else 1.0
-                fac_b = np.prod([complex(self.gamma_t[k]) for k in range(n - j, n)]) if j else 1.0
-                arow.append(ga[j] * fac_a)
-                brow.append(gb[j] * fac_b)
-            ahat.append(arow)
-            bhat.append(brow)
-        h = [1.0 / (complex(self.pi0) * complex(self.sigma0))]
-        for n in range(1, N + 1):
-            h.append(complex(self.gamma[n - 1]) * complex(self.gamma_t[n - 1]))
-        return ahat, bhat, h
+    def monic_transform(self):
+        """Monic-recurrence data (ahat, bhat, h) implied by this system:
+        x*p_n = p_{n+1} + sum_j ahat[n][j] p_{n-j} for the monic polynomials,
+        bhat the y-side mirror, and the diagonal pairing chain
+        h[0] = 1/(pi0*sigma0), h[n] = gamma[n-1]*gamma_t[n-1]."""
+        Ja, Jb, h = self._monic(self.order)
+        return _triangle(Ja), _triangle(Jb), h.tolist()
 
     def canonical(self) -> "RecurrenceSystem":
         """Equivalent system in the canonical form produced by
         extract_recurrence: the y-side carries unit gammas, the x-side
         gammas carry the diagonal pairings, and pi0 holds 1/mu_00."""
-        ahat, bhat, h = self.monic_transform()
-        return _canonical_from_monic(ahat, bhat, h)
+        return _canonical(*self._monic(self.order))
 
-    def monic_polynomials(self):
-        """The monic sequences p_n, s_n generated by the recurrences."""
-        ahat, bhat, _ = self.monic_transform()
-        return _run_monic(ahat), _run_monic(bhat)
-
-
-def _run_monic(ahat):
-    """Generate monic polynomials from monic recurrence coefficients."""
-    polys = [CPoly.one()]
-    x = CPoly.x()
-    for n in range(len(ahat)):
-        nxt = x * polys[n]
-        for j in range(n + 1):
-            nxt = nxt - ahat[n][j] * polys[n - j]
-        polys.append(nxt)
-    return polys
+    def factors(self, N: int):
+        """(Cp, h, Cs): the L·D·U factors, through degree N, of the table
+        these recurrences generate. Row n of Cp (of Cs) holds the
+        coefficients of the monic p_n (of s_n), and h[n] = L(p_n | s_n)."""
+        Ja, Jb, h = self._monic(N)
+        return _monic_rows(Ja), h, _monic_rows(Jb)
 
 
-def _canonical_from_monic(ahat, bhat, h) -> RecurrenceSystem:
-    N = len(ahat)
-    gamma = [h[n + 1] for n in range(N)]
-    gamma_t = [1.0 + 0j] * N
-    a = []
+def _lower(rows, N: int) -> np.ndarray:
+    """Triangle rows[n][j] (j <= n < N) as the lower-triangular T[n, n-j]."""
+    T = np.zeros((N, N), dtype=complex)
     for n in range(N):
-        row = []
-        for j in range(n + 1):
-            fac = np.prod([gamma[k] for k in range(n - j, n)]) if j else 1.0
-            row.append(ahat[n][j] / fac)
-        a.append(row)
-    return RecurrenceSystem(gamma=gamma, gamma_t=gamma_t, a=a, b=[list(r) for r in bhat],
-                            pi0=1.0 / h[0], sigma0=1.0 + 0j)
+        T[n, : n + 1] = rows[n][n::-1]
+    return T
+
+
+def _triangle(T: np.ndarray) -> list:
+    """Inverse of _lower: row n lists T[n, n], T[n, n-1], ..., T[n, 0]."""
+    return [T[n, n::-1].tolist() for n in range(len(T))]
+
+
+def _chain(g, N: int) -> np.ndarray:
+    """C[n, m] = g_m * g_(m+1) * ... * g_(n-1) for m < n < N, 1 elsewhere."""
+    col = np.concatenate(([1.0], np.asarray(g[:N], dtype=complex)))[:N, None]
+    return np.cumprod(np.where(np.tri(N, k=-1, dtype=bool), col, 1.0), axis=0)
+
+
+def _canonical(Ja, Jb, h) -> RecurrenceSystem:
+    N = len(Ja)
+    return RecurrenceSystem(gamma=h[1:].tolist(), gamma_t=[1.0 + 0j] * N,
+                            a=_triangle(Ja / _chain(h[1:], N)), b=_triangle(Jb),
+                            pi0=complex(1.0 / h[0]), sigma0=1.0 + 0j)
+
+
+def _monic_rows(J: np.ndarray) -> np.ndarray:
+    """Coefficient rows of the monic sequence p_(n+1) = x*p_n - sum_m J[n, m] p_m."""
+    N = len(J)
+    C = np.zeros((N + 1, N + 1), dtype=complex)
+    C[0, 0] = 1.0
+    for n in range(N):
+        C[n + 1, 1:] = C[n, :-1]
+        C[n + 1] -= J[n, : n + 1] @ C[: n + 1]
+    return C
+
+
+def _ldu(mu: np.ndarray, tol: float):
+    """Unpivoted mu = L·D·U as (Cp, h, Cs) = (L⁻¹, diag(D), U⁻ᵀ), from the
+    elimination's row and column operations applied to identities. Step k adds
+    the last rank-one term Cs[k]ᵀ·Cp[k]/h[k] of mu[:k+1, :k+1]⁻¹ and stops with
+    DegenerateMinor(k + 1) if that block fails _conditioned (as inf or NaN at
+    a zero pivot)."""
+    a = np.array(mu, dtype=complex)
+    K = len(a)
+    Cp, Cs = np.eye(K, dtype=complex), np.eye(K, dtype=complex)
+    inv = np.zeros((K, K), dtype=complex)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for k in range(K):
+            d = a[k, k]
+            inv += np.outer(Cs[k], Cp[k] / d)
+            if not _conditioned(mu[: k + 1, : k + 1], inv[: k + 1, : k + 1], tol):
+                raise DegenerateMinor(k + 1)
+            col = a[k + 1 :, k] / d
+            row = a[k, k + 1 :] / d
+            a[k + 1 :, k + 1 :] -= np.outer(col, a[k, k + 1 :])
+            Cp[k + 1 :] -= np.outer(col, Cp[k])
+            Cs[k + 1 :] -= np.outer(row, Cs[k])
+    return Cp, np.diag(a).copy(), Cs
+
+
+def _conditioned(block: np.ndarray, inv: np.ndarray, tol: float) -> bool:
+    """Whether rho(|block⁻¹|·|block|) < 1/tol. Scaling the rows or the
+    columns of the block is a similarity of that product, so neither scaling
+    the table nor the units of x or y moves the verdict; and rho is at most
+    the 1-norm condition number of every such scaling. The product's 1-norm
+    bounds rho and settles the common well-conditioned case."""
+    M = np.abs(inv) @ np.abs(block)
+    if M.sum(axis=0).max() * tol < 1.0:
+        return True
+    return bool(np.isfinite(M).all() and np.abs(np.linalg.eigvals(M)).max() * tol < 1.0)
 
 
 def delta(table: BimomentTable, n: int) -> complex:
@@ -194,10 +248,6 @@ def delta(table: BimomentTable, n: int) -> complex:
     Row-pivoted elimination with row-norm scaling; the log magnitude is
     accumulated separately so large tables do not overflow prematurely.
     """
-    if n < 0 or n > table.size + 1:
-        raise OutOfRange(f"minor order {n} exceeds table size {table.size}")
-    if n == 0:
-        return 1.0 + 0j
     val, logmag = delta_scaled(table, n)
     return complex(val * np.exp(logmag))
 
@@ -230,13 +280,16 @@ def delta_scaled(table: BimomentTable, n: int):
     return unit, logmag
 
 
-def minor_scale(table: BimomentTable, n: int) -> float:
-    """Geometric mean of row norms of the n x n minor (degeneracy scale)."""
-    if n == 0:
-        return 1.0
-    norms = np.linalg.norm(table.entries[:n, :n], axis=1)
-    norms = np.where(norms > 0, norms, 1.0)
-    return float(np.exp(np.mean(np.log(norms))))
+def table_from_factors(Cp: np.ndarray, h: np.ndarray, Cs: np.ndarray) -> np.ndarray:
+    """mu = Cp⁻¹·diag(h)·Cs⁻ᵀ by forward substitution on the unit triangular
+    factors. Its residual is small entry by entry; a table from pivoted
+    solves loses more digits in the Favard round trip."""
+    mu = np.diag(h).astype(complex)
+    for C in (Cs, Cp):
+        mu = mu.T.copy()
+        for i in range(1, len(C)):
+            mu[i] -= C[i, :i] @ mu[:i]
+    return mu
 
 
 def pair_apply(table: BimomentTable, p: CPoly, s: CPoly) -> complex:
@@ -254,59 +307,38 @@ def monic_bops(table: BimomentTable, N: int,
                degeneracy_tol: float = DEGENERACY_REL_TOL) -> BOPPair:
     """Monic biorthogonal pairs through degree N.
 
-    Solves the n x n orthogonality systems for the non-leading
-    coefficients (equivalent to the bordered-determinant formulas by
-    Cramer's rule) and sets h_n = L(p_n | s_n). Raises DegenerateMinor
-    when a leading minor is numerically zero.
+    One unpivoted L·D·U of mu[:N+1, :N+1]: p_n is row n of L⁻¹, s_n is
+    column n of U⁻¹ and h_n = D_n = Delta_{n+1}/Delta_n. Raises
+    DegenerateMinor(n) for the first leading block mu[:n, :n] with
+    1/rho(|mu[:n, :n]⁻¹|·|mu[:n, :n]|) at most degeneracy_tol: a verdict
+    that scaling the table or the units of x and y does not change.
     """
     if N > table.size:
         raise OutOfRange(f"requested order {N} exceeds table size {table.size}")
-    mu = table.entries
-    p = [CPoly.one()]
-    s = [CPoly.one()]
-    for n in range(1, N + 1):
-        val, logmag = delta_scaled(table, n)
-        if abs(val) * np.exp(logmag) <= degeneracy_tol * minor_scale(table, n):
-            raise DegenerateMinor(n)
-        # p_n: L(p_n | y^k) = 0 for k < n; unknowns are coeffs 0..n-1
-        A = mu[:n, :n].T  # rows indexed by k, columns by i
-        rhs = -mu[n, :n]
-        cp = np.linalg.solve(A, rhs)
-        p.append(CPoly(np.concatenate([cp, [1.0]])))
-        # s_n: L(x^i | s_n) = 0 for i < n
-        B = mu[:n, :n]
-        rhs = -mu[:n, n]
-        cs = np.linalg.solve(B, rhs)
-        s.append(CPoly(np.concatenate([cs, [1.0]])))
-    # h_N = Delta_{N+1}/Delta_N also needs the next minor nonzero
-    val, logmag = delta_scaled(table, N + 1)
-    if abs(val) * np.exp(logmag) <= degeneracy_tol * minor_scale(table, N + 1):
-        raise DegenerateMinor(N + 1)
-    h = [pair_apply(table, p[n], s[n]) for n in range(N + 1)]
-    return BOPPair(p=p, s=s, h=h)
+    Cp, h, Cs = _ldu(table.entries[: N + 1, : N + 1], degeneracy_tol)
+    return BOPPair(p=[CPoly(c) for c in Cp], s=[CPoly(c) for c in Cs], h=h.tolist())
 
 
 def extract_recurrence(table: BimomentTable, bops: BOPPair) -> RecurrenceSystem:
     """Recurrence data of the monic BOPs, in canonical form.
 
-    The monic expansion coefficients are recovered through the pairings
-    ahat_j(n) = L(x p_n | s_{n-j}) / h_{n-j} (mirror for bhat). The
+    The monic expansion coefficients are the pairings
+    ahat_j(n) = L(x p_n | s_{n-j}) / h_{n-j}, read off the one product
+    G = (x·Cp)·mu·Csᵀ of the coefficient rows (mirror for bhat). The
     returned system stores the diagonal pairings h_{n+1} in gamma (with
     unit gamma_t), so that favard_reconstruct maps it back to this exact
     table; when every h_n = 1 this is the plain monic normalization.
     """
     N = bops.order
-    if N < 1:
-        return RecurrenceSystem([], [], [], [], pi0=1.0 / bops.h[0], sigma0=1.0)
-    x = CPoly.x()
-    ahat, bhat = [], []
-    for n in range(N):
-        if abs(bops.h[n]) == 0:
-            raise DegenerateMinor(n, "h_n vanishes")
-        xp = x * bops.p[n]
-        ys = x * bops.s[n]  # same shift on the y side
-        arow = [pair_apply(table, xp, bops.s[n - j]) / bops.h[n - j] for j in range(n + 1)]
-        brow = [pair_apply(table, bops.p[n - j], ys) / bops.h[n - j] for j in range(n + 1)]
-        ahat.append(arow)
-        bhat.append(brow)
-    return _canonical_from_monic(ahat, bhat, list(bops.h))
+    if N > table.size:
+        raise OutOfRange("polynomial degree exceeds table size")
+    h = np.asarray(bops.h, dtype=complex)
+    zero = np.flatnonzero(h[:N] == 0)
+    if zero.size:
+        raise DegenerateMinor(int(zero[0]), "h_n vanishes")
+    Cp, Cs = (np.array([np.pad(q.coeffs, (0, N - q.degree)) for q in polys], dtype=complex)
+              for polys in (bops.p, bops.s))
+    mu = table.entries[: N + 1, : N + 1]
+    Ja = np.tril(Cp[:N, :N] @ mu[1:] @ Cs[:N].T / h[:N])
+    Jb = np.tril((Cp[:N] @ mu[:, 1:] @ Cs[:N, :N].T).T / h[:N])
+    return _canonical(Ja, Jb, h)

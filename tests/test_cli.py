@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -136,6 +137,20 @@ def test_certify_gaussian(gaussian_spec, capsys):
     assert "PASS" in out
 
 
+def test_certify_gaussian_asymptotics_skip_warns_nothing(gaussian_spec, capsys):
+    """The d = 1 asymptotic check overflows e^(xz) far out on the ray; it
+    ends in one stdout line and numpy issues no warning for stderr."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert main(["certify", gaussian_spec, "--order", "2"]) == 0
+    assert [str(w.message) for w in seen] == []
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[-2:] == [
+        "asymptotics skipped: QuadratureStall: non-finite integrand sample",
+        "certificate: PASS"]
+
+
 def test_certify_quartic(quartic_spec, capsys):
     rc = main(["certify", quartic_spec, "--order", "3", "--skip-asymptotics"])
     out = capsys.readouterr().out
@@ -234,6 +249,34 @@ def test_favard_order_above_stored_exit_2(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.splitlines() == [
         "error: --order 3 outside 0..1, the order of the recurrence data"]
+
+
+def _order8_recurrence():
+    N = 8
+    return {
+        "gamma": [[1.0, 0.0]] * N,
+        "gamma_t": [[1.0, 0.0]] * N,
+        "a": [[[0.1, 0.0]] * (n + 1) for n in range(N)],
+        "b": [[[0.0, 0.2]] * (n + 1) for n in range(N)],
+        "pi0": [1.0, 0.0],
+        "sigma0": [1.0, 0.0],
+    }
+
+
+@pytest.mark.parametrize("cut, message", [
+    (lambda rec: rec["a"].__setitem__(3, [[0.5, 0.0]]), "a[3] has 1 entries, not 4"),
+    (lambda rec: rec["b"][5].pop(), "b[5] has 5 entries, not 6"),
+    (lambda rec: rec["a"].pop(), "a has 7 entries, gamma has 8"),
+], ids=["a3-one-entry", "b5-one-short", "a-one-row-short"])
+def test_favard_misshapen_recurrence_exit_2(tmp_path, capsys, cut, message):
+    rec = _order8_recurrence()
+    cut(rec)
+    path = tmp_path / "rec8.json"
+    path.write_text(json.dumps(rec))
+    assert main(["favard", str(path), "--order", "8", "--out", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: malformed recurrence file: {message}"]
 
 
 def test_contours_rays_lie_in_declared_sectors(quartic_spec, tmp_path):

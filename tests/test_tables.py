@@ -5,6 +5,8 @@ import pytest
 
 from bimoment.errors import DegenerateMinor, OutOfRange
 from bimoment.polycore import CPoly
+from bimoment.quadrature import make_setup
+from bimoment.semiclassical import validate_spec
 from bimoment.tables import (
     BimomentTable,
     delta,
@@ -13,7 +15,7 @@ from bimoment.tables import (
     pair_apply,
 )
 
-from oracles import gaussian_bimoments
+from oracles import gaussian_bimoments, quartic_realline_bimoments
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +111,79 @@ def test_monic_bops_degenerate_minor():
     ent = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
     with pytest.raises(DegenerateMinor):
         monic_bops(BimomentTable(ent), 1)
+
+
+@pytest.mark.parametrize("handle", [(0, 0), (0, 1)])
+def test_degeneracy_verdict_is_unit_free(handle):
+    """Scaling a functional, or measuring x or y in other units, does not
+    change whether its BOPs exist, so DegenerateMinor fires at the same
+    degree for c*mu, mu[n, m]*c^n and mu[n, m]*c^m. On the quartic handle
+    (0, 0) at N = 9, |Delta_n| against row norms fired at n = 4, 6, 7, 9
+    for c*mu with c = 1e-3, 1, 10, 1e3."""
+    quartic = validate_spec(CPoly([0, 0, 0, 1]), CPoly([1]), CPoly([0, 0, 0, 1]), CPoly([1]))
+    mu = make_setup(quartic).handle(*handle).table(9).entries
+    powers = 0.25 ** np.arange(10.0), 4.0 ** np.arange(10.0)
+    rescaled = [c * mu for c in (1e-3, 1.0, 10.0, 1e3)]
+    rescaled += [D[:, None] * mu for D in powers] + [mu * D for D in powers]
+    seen = set()
+    for entries in rescaled:
+        with pytest.raises(DegenerateMinor) as exc:
+            monic_bops(BimomentTable(entries), 9)
+        seen.add(exc.value.n)
+    assert seen == {7}
+
+
+def test_degenerate_minor_names_first_degenerate_block():
+    """mu[:2, :2] is singular to 1e-13 and mu[:3, :3] exactly singular: the
+    elimination stops at the first of them."""
+    ent = np.array([[1, 1, 0], [1, 1 + 1e-13, 0], [0, 0, 0]], dtype=complex)
+    with pytest.raises(DegenerateMinor) as exc:
+        monic_bops(BimomentTable(ent), 2)
+    assert exc.value.n == 2
+
+
+def test_bops_and_recurrence_match_mpmath_reference():
+    """h_n and the monic recurrence coefficients of the real-line quartic
+    table at N = 8 against a 30-digit computation: each p_n, s_n from an
+    mpmath LU solve of its orthogonality system, h_n = L(p_n | s_n) and
+    ahat_j(n) = L(x p_n | s_(n-j)) / h_(n-j). The tolerance is the double
+    precision unit times the 2-norm condition number of the table."""
+    mpmath = pytest.importorskip("mpmath")
+    N = 8
+    mu = quartic_realline_bimoments(N)
+    tol = np.finfo(float).eps * np.linalg.cond(mu)
+    with mpmath.workdps(30):
+        M = mpmath.matrix(mu.tolist())
+
+        def monic(n, transpose):
+            if n == 0:
+                return [mpmath.mpf(1)]
+            A = M[:n, :n].T if transpose else M[:n, :n]
+            rhs = -(M[n, :n].T if transpose else M[:n, n])
+            c = mpmath.lu_solve(A, rhs)
+            return [c[i] for i in range(n)] + [mpmath.mpf(1)]
+
+        p = [monic(n, True) for n in range(N + 1)]
+        s = [monic(n, False) for n in range(N + 1)]
+
+        def pair(pn, sm, dx=0, dy=0):
+            return mpmath.fsum(a * b * M[i + dx, j + dy]
+                               for i, a in enumerate(pn) for j, b in enumerate(sm))
+
+        h = [complex(pair(p[n], s[n])) for n in range(N + 1)]
+        ahat = [[complex(pair(p[n], s[n - j], dx=1) / pair(p[n - j], s[n - j]))
+                 for j in range(n + 1)] for n in range(N)]
+        bhat = [[complex(pair(p[n - j], s[n], dy=1) / pair(p[n - j], s[n - j]))
+                 for j in range(n + 1)] for n in range(N)]
+    table = BimomentTable(mu)
+    bops = monic_bops(table, N)
+    got_a, got_b, _ = extract_recurrence(table, bops).monic_transform()
+    for n in range(N + 1):
+        assert abs(bops.h[n] - h[n]) <= tol * abs(h[n])
+    for n in range(N):
+        for j in range(n + 1):
+            assert abs(got_a[n][j] - ahat[n][j]) <= tol * max(1.0, abs(ahat[n][j]))
+            assert abs(got_b[n][j] - bhat[n][j]) <= tol * max(1.0, abs(bhat[n][j]))
 
 
 def test_extract_recurrence_identity_is_shift():
