@@ -295,7 +295,9 @@ def poly_roots(p: CPoly, cluster_tol: float = ROOT_CLUSTER_TOL) -> RootMultiset:
 
     dp = p.deriv()
 
-    def polish(center, mult):
+    def polish(center, mult, reach):
+        # a step that leaves the cluster's half-gap to its neighbours would
+        # land on another root, where |p| is just as small
         r = center
         for _ in range(30):
             pv = poly_eval(p, r)
@@ -306,14 +308,18 @@ def poly_roots(p: CPoly, cluster_tol: float = ROOT_CLUSTER_TOL) -> RootMultiset:
             if not np.isfinite(step):
                 break
             r_new = r - step
-            if abs(poly_eval(p, r_new)) <= abs(pv):
+            if abs(r_new - center) <= reach and abs(poly_eval(p, r_new)) <= abs(pv):
                 r = r_new
             if abs(step) <= 1e-16 * max(1.0, abs(r)):
                 break
         return r
 
     def finalize(clusters):
-        polished = [(polish(c, m), m) for c, m in clusters]
+        polished = []
+        for i, (c, m) in enumerate(clusters):
+            gap = min((abs(c - o) for j, (o, _) in enumerate(clusters) if j != i),
+                      default=np.inf)
+            polished.append((polish(c, m, 0.5 * gap), m))
         merged = []
         for r, m in sorted(polished, key=lambda t: (t[0].real, t[0].imag)):
             for idx, (r0, m0) in enumerate(merged):

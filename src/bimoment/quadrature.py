@@ -29,6 +29,7 @@ from .errors import (
     DivergentTail,
     QuadratureStall,
 )
+from .polycore import poly_eval
 from .tables import PROV_QUADRATURE, BimomentTable
 from .weights import (
     Arc,
@@ -40,6 +41,7 @@ from .weights import (
     default_truncation,
     direction_decays,
     normalize_potential,
+    saddle_points,
     trace_sdc,
 )
 
@@ -670,15 +672,18 @@ class AsymptoticReport:
 
 
 def predicted_leading(spec: WeightSpec, z: complex, k: int) -> complex:
-    """K sqrt(2 pi/d) z^((2A+1-d)/(2d)) omega^(k(A-1/2))
-    exp(d/(d+1) z^((d+1)/d) omega^k) for the normalized potential."""
-    d = spec.d
-    A = spec.A_total
-    omega = cmath.exp(2j * math.pi / d)
-    zp = z ** ((2 * A + 1 - d) / (2 * d))
-    op = cmath.exp((2j * math.pi / d) * k * (A - 0.5))
-    ex = cmath.exp(d / (d + 1) * z ** ((d + 1) / d) * omega ** k)
-    return math.sqrt(2 * math.pi / d) * zp * op * ex
+    """The saddle-point term sqrt(2 pi/S''(x_k)) e^(-S(x_k)) W_rest(x_k) of
+    the one-sided transform over the k-th steepest-descent contour.
+
+    S(x) = V+(x) - xz, x_k = saddle_points(spec, z)[k] and W_rest = W e^(V+)
+    with principal branches, so e^(-S) W_rest is the integrand W(x) e^(xz)
+    at the saddle. The square root is the branch along which trace_sdc
+    leaves the saddle toward increasing u.
+    """
+    xk = saddle_points(spec, z)[k]
+    Spp = poly_eval(spec.Vplus.deriv().deriv(), xk)
+    log_w = spec.log_weight_principal(np.array([xk]))[0]
+    return cmath.sqrt(2 * math.pi / Spp) * cmath.exp(log_w + xk * z)
 
 
 def asymptotic_check(spec: WeightSpec, k: int, zs, rtol: Optional[float] = None,
@@ -688,9 +693,9 @@ def asymptotic_check(spec: WeightSpec, k: int, zs, rtol: Optional[float] = None,
     if auto_normalize:
         spec, _ = normalize_potential(spec)
     ratios, phases = [], []
-    # the constant K is the limit of the essential factor exp(sum E_j); in
-    # this canonical normalization that limit is 1, settled when the
-    # principal parts are already negligible at the truncation radius
+    # the essential factor exp(sum E_j) tends to 1 in this canonical
+    # normalization; it counts as settled when the principal parts are
+    # already negligible at ten truncation radii
     far = 10.0 * default_truncation(spec)
     tail = 0.0
     for sng in spec.singularities:

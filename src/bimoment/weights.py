@@ -33,6 +33,8 @@ from .polycore import CPoly, common_factor, partial_fractions, poly_eval, poly_r
 
 SECTOR_EPS = 0.05          # angular safety margin in the sector definition
 STOKES_MARGIN = 1e-3       # min distance of arg(z) from a Stokes ray
+SDC_STEP = 0.25            # path-parameter step of the steepest-descent trace
+U_MAX_SDC = 7.0            # trace |u| <= U_MAX_SDC, where exp(-u^2) ~ 5e-22
 INT_TOL = 1e-9             # lambda within this of an integer counts as integer
 
 
@@ -48,17 +50,15 @@ class Singularity:
     essential: tuple = ()
 
     @property
-    def is_integer_lambda(self) -> bool:
-        lr = self.lam.real
-        return abs(self.lam.imag) <= INT_TOL and abs(lr - round(lr)) <= INT_TOL \
-            and round(lr) >= 0
-
-    @property
     def tracked(self) -> bool:
         """Needs branch-continued arg along contours."""
         lr = self.lam.real
         near_int = abs(self.lam.imag) <= INT_TOL and abs(lr - round(lr)) <= INT_TOL
         return not near_int
+
+    @property
+    def is_integer_lambda(self) -> bool:
+        return not self.tracked and round(self.lam.real) >= 0
 
 
 @dataclass
@@ -85,14 +85,9 @@ class WeightSpec:
         """log W with principal branches everywhere (single-valued parts
         plus principal logs); fine off the cuts, e.g. for sampling."""
         x = np.asarray(x, dtype=complex)
-        acc = -poly_eval(self.Vplus, x)
-        for sng in self.singularities:
-            dxv = x - sng.location
-            if sng.lam != 0:
-                acc = acc + sng.lam * np.log(dxv)
-            for q, e in enumerate(sng.essential, start=1):
-                acc = acc + e / dxv ** q
-        return acc
+        return self.log_weight_tracked(x, {
+            idx: np.angle(x - sng.location)
+            for idx, sng in enumerate(self.singularities) if sng.tracked})
 
     def log_weight_tracked(self, x, thetas: dict):
         """log W using externally supplied continued args for the tracked
@@ -524,24 +519,30 @@ def saddle_points(spec: WeightSpec, z: complex) -> list:
     return ordered
 
 
-def trace_sdc(spec: WeightSpec, z: complex, k: int,
-              stokes_margin: float = STOKES_MARGIN,
-              t_stop: float = 49.0, step_ratio: float = 1.22) -> Contour:
-    """Steepest-descent contour through the k-th saddle of V+(x) - xz.
+def trace_sdc(spec: WeightSpec, z: complex, k: int) -> Contour:
+    """Steepest-descent contour through the k-th saddle of S(x) = V+(x) - xz.
 
-    Marches the constant-phase curve Im S = Im S(x_k) outward in both
-    directions with a predictor-corrector in the real part of S until the
-    integrand factor exp(-(S - S_k)) is negligible (Re(S - S_k) >= t_stop).
-    Requires the normalized potential and z inside the dual sector away
-    from Stokes rays.
+    The curve is parametrized by u with S(x(u)) = S_k + u^2 and traced
+    by Newton continuation for |u| <= U_MAX_SDC on both sides of the
+    saddle: the predictor follows dx/du = 2u/S'(x) (which is sqrt(2/S'')
+    at the saddle), and _newton_phase corrects onto the target value.
+    The step is SDC_STEP; it halves while Newton fails or its correction
+    exceeds a tenth of the predictor step (a jump to another branch of
+    the level curve) and returns to SDC_STEP after each accepted node.
+    Consecutive nodes are joined by chords. The chords are a Cauchy
+    deformation of the curve: the integral along them equals the one
+    along the curve provided no singularity of the weight lies between a
+    chord and the arc it spans. Requires the normalized potential and z
+    inside the dual sector away from Stokes rays; raises StokesProximity
+    when the step falls below 2^-30 SDC_STEP.
     """
     d = spec.d
     if not 0 <= k <= d - 1:
         raise ValueError(f"saddle index {k} outside 0..{d-1}")
-    if d >= 2 and stokes_distance(z, d) < stokes_margin:
+    if d >= 2 and stokes_distance(z, d) < STOKES_MARGIN:
         # a single saddle (d = 1) has no cuts to collide
         raise StokesProximity(
-            f"arg(z) = {cmath.phase(z):.6f} within {stokes_margin} of a Stokes ray"
+            f"arg(z) = {cmath.phase(z):.6f} within {STOKES_MARGIN} of a Stokes ray"
         )
     saddles = saddle_points(spec, z)
     crits = [poly_eval(spec.Vplus, x) - x * z for x in saddles]
@@ -562,53 +563,35 @@ def trace_sdc(spec: WeightSpec, z: complex, k: int,
     def Sp(x):
         return poly_eval(dV, x) - z
 
-    Spp = poly_eval(spec.Vplus.deriv().deriv(), xs)
+    Spp = poly_eval(dV.deriv(), xs)
     if abs(Spp) <= 1e-10 * max(1.0, abs(z)):
         raise SaddleCollision("degenerate saddle: S'' ~ 0")
-
-    phase_tol = 1e-7 * (1.0 + abs(S0))
-
-    def refine(t0, x0, t1, x1, depth=0):
-        """Insert curve points until chord midpoints hold the phase."""
-        mid = 0.5 * (x0 + x1)
-        if depth >= 24 or abs(S(mid).imag - S0.imag) <= phase_tol:
-            return [(t1, x1)]
-        tm = 0.5 * (t0 + t1)
-        xm = _newton_phase(S, Sp, mid, S0, tm)
-        if xm is None:
-            return [(t1, x1)]
-        return refine(t0, x0, tm, xm, depth + 1) + refine(tm, xm, t1, x1, depth + 1)
+    slope0 = cmath.sqrt(2 / Spp)
 
     branches = []
     for sign in (+1.0, -1.0):
-        pts = [(0.0, xs)]
-        t = abs(Spp) / 2 * (1e-3 * max(1.0, abs(xs))) ** 2
-        x = xs + sign * cmath.sqrt(2 * t / Spp)
-        x = _newton_phase(S, Sp, x, S0, t)
-        pts.append((t, x))
-        while t < t_stop:
-            t_next = min(t * step_ratio, t_stop)
-            dt = t_next - t
-            x_pred = x + dt / Sp(x)
-            x_new = _newton_phase(S, Sp, x_pred, S0, t_next)
-            if x_new is None:
-                # halve the step through the predictor until Newton holds
-                t_next = t + dt / 2
-                x_pred = x + (t_next - t) / Sp(x)
-                x_new = _newton_phase(S, Sp, x_pred, S0, t_next)
-                if x_new is None:
+        # u counts |u| on this side; only the first step needs the side's sign
+        u, x, h = 0.0, xs, SDC_STEP
+        nodes = [xs]
+        while u < U_MAX_SDC:
+            un = min(u + h, U_MAX_SDC)
+            x_pred = x + (un - u) * (sign * slope0 if u == 0 else 2 * u / Sp(x))
+            x_new = _newton_phase(S, Sp, x_pred, S0, un * un)
+            if x_new is None or abs(x_new - x_pred) > 0.1 * abs(x_pred - x):
+                h /= 2
+                if h < 2.0 ** -30 * SDC_STEP:
                     raise StokesProximity("phase tracking lost (near a Stokes ray?)")
-            pts.extend(refine(t, x, t_next, x_new))
-            x = x_new
-            t = t_next
-        branches.append([x for _, x in pts])
+                continue
+            nodes.append(x_new)
+            u, x, h = un, x_new, SDC_STEP
+        branches.append(nodes)
 
     path = list(reversed(branches[1])) + branches[0][1:]
     pieces = [Seg(path[i], path[i + 1]) for i in range(len(path) - 1)]
     return Contour(kind=KIND_SDC, pieces=pieces, anchor=None, p_flag=False,
                    anchor_point=xs,
                    meta={"saddle": xs, "critical_value": S0, "k": k, "z": z,
-                         "t_stop": t_stop})
+                         "t_stop": U_MAX_SDC ** 2})
 
 
 def _newton_phase(S, Sp, x, S0, t_target, iters: int = 30):
@@ -627,15 +610,12 @@ def _newton_phase(S, Sp, x, S0, t_target, iters: int = 30):
 
 
 def sdc_phase_defect(spec: WeightSpec, contour: Contour) -> float:
-    """max |Im(S(x)) - Im(S at saddle)| over the traced polyline."""
+    """max |Im(S(x)) - Im(S at saddle)| over the traced nodes (the chord
+    ends; chord interiors leave the curve by design)."""
     z = contour.meta["z"]
     S0 = contour.meta["critical_value"]
-    worst = 0.0
-    for p in contour.pieces:
-        for t in (0.0, 0.5, 1.0):
-            x = p.point(t)
-            worst = max(worst, abs((poly_eval(spec.Vplus, x) - x * z).imag - S0.imag))
-    return worst
+    nodes = np.array([p.a for p in contour.pieces] + [contour.pieces[-1].b])
+    return float(np.max(np.abs((poly_eval(spec.Vplus, nodes) - nodes * z).imag - S0.imag)))
 
 
 # --- contour JSON export --------------------------------------------------

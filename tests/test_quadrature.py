@@ -33,6 +33,7 @@ from bimoment.weights import (
     Seg,
     build_contours,
     build_weight,
+    normalize_potential,
     trace_sdc,
 )
 
@@ -404,6 +405,39 @@ def test_asymptotic_phase_factor():
     for k in (0, 1):
         rep = asymptotic_check(w, k, zs)
         assert rep.phase_defects[0] <= 0.05
+
+
+@pytest.mark.parametrize("sign, loops", [(-1, (0, 1, 2)), (1, (0,))])
+def test_sdc_near_stokes_homology_class(sign, loops):
+    """Near a Stokes ray the level curve of the quartic-pole potential
+    passes close to another saddle's; the traced path must keep to its
+    own curve and end in the sectors of its homology class."""
+    w, _ = normalize_potential(build_weight(CPoly([0.1, -0.2, 0, 1]), ONE))
+    z = 5.0 * cmath.exp(sign * 0.363j)
+    sdc = trace_sdc(w, z, 0)
+    got = laplace(sdc, w, z, 0)
+    contours = build_contours(w)
+    want = sum(laplace(contours[i], w, z, 0) for i in loops)
+    assert abs(got - want) <= 1e-10 * abs(want)
+
+
+@pytest.mark.parametrize("A", [[0.1, 0, 1], [0.1, -0.2, 0, 1]])
+def test_asymptotic_ratios_at_the_true_saddle(A):
+    """The cubic (0.1 + x^2) and quartic-pole (0.1 - 0.2x + x^3) weights at
+    the certify points: the lower-order terms of V+ shift the saddle."""
+    w, _ = normalize_potential(build_weight(CPoly(A), ONE))
+    zs = [r * cmath.exp(-1j * math.pi / (4 * (w.d + 1))) for r in (20.0, 30.0, 40.0)]
+    rep = asymptotic_check(w, 0, zs)
+    assert all(abs(r - 1.0) <= 0.01 for r in rep.ratios)
+    assert rep.slope <= -0.7
+
+
+def test_asymptotic_phase_quartic_every_saddle():
+    w = build_weight(CPoly([0, 0, 0, 1]), ONE)
+    zs = [r * cmath.exp(-1j * math.pi / 16) for r in (20.0, 30.0, 40.0)]
+    for k in (1, 2):
+        rep = asymptotic_check(w, k, zs)
+        assert max(rep.phase_defects) <= 0.05
 
 
 def test_predicted_leading_value():

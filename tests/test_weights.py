@@ -238,10 +238,28 @@ def test_trace_sdc_cubic_phase_invariant():
     for k in (0, 1):
         sdc = trace_sdc(w, z, k)
         crit = sdc.meta["critical_value"]
-        assert sdc_phase_defect(w, sdc) <= 1e-6 * (1 + abs(crit))
+        assert sdc_phase_defect(w, sdc) <= 1e-12 * (1 + abs(crit))
         # saddles at +- sqrt(z) up to ordering
         want = cmath.sqrt(z) * (1 if k == 0 else -1)
         assert sdc.meta["saddle"] == pytest.approx(want, rel=1e-9)
+
+
+# the x marginals of the quartic, Gaussian, cubic, quartic-pole and power
+# specs, as (A, B) coefficient lists
+CERTIFY_WEIGHTS = [([0, 0, 0, 1], [1]), ([0, 2], [1]), ([0.1, 0, 1], [1]),
+                   ([0.1, -0.2, 0, 1], [1]), ([-2.3, 0, 0, 0, 1], [0, 1])]
+
+
+@pytest.mark.parametrize("A, B", CERTIFY_WEIGHTS)
+def test_trace_sdc_piece_budget(A, B):
+    """The contours certify traces stay short: nodes every 1/4 in u."""
+    w, _ = normalize_potential(build_weight(CPoly(A), CPoly(B)))
+    for r in (20.0, 30.0, 40.0):
+        z = r * cmath.exp(-1j * math.pi / (4 * (w.d + 1)))
+        for k in range(w.d):
+            sdc = trace_sdc(w, z, k)
+            assert len(sdc.pieces) <= 120
+            assert sdc_phase_defect(w, sdc) <= 1e-12 * (1 + abs(sdc.meta["critical_value"]))
 
 
 def test_trace_sdc_critical_value_formula():
