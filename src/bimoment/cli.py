@@ -109,6 +109,8 @@ def cmd_moments(args) -> int:
 
 def cmd_certify(args) -> int:
     spec = _load_spec(args.spec)
+    if args.order < 0:
+        raise _Refused(EXIT_PARSE, f"error: --order must be >= 0, got {args.order}")
     setup = make_setup(spec)
     handles = list(setup.handles)
     k = args.repeat_functional
@@ -117,6 +119,10 @@ def cmd_certify(args) -> int:
             raise _Refused(EXIT_PARSE, f"error: --repeat-functional {k} "
                                        f"outside 0..{len(handles) - 1}")
         handles.append(handles[k])
+    entries = (args.order + 1) ** 2
+    if entries < len(handles):
+        raise _Refused(EXIT_PARSE, f"error: --order {args.order}: (N+1)^2 = {entries} "
+                                   f"is less than the {len(handles)} functionals")
     report = independence_certificate(handles, args.order)
     residuals = [recurrence_residual(spec, h.table(args.order)) for h in handles]
     print(f"rank {report.rank}/{report.expected}")

@@ -12,7 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ZeroGamma
-from .tables import PROV_RECURRENCE, BimomentTable, RecurrenceSystem, table_from_factors
+from .tables import (PROV_RECURRENCE, BimomentTable, RecurrenceSystem, complex_from_pair,
+                     table_from_factors)
 
 
 def favard_reconstruct(rec: RecurrenceSystem, N: int) -> BimomentTable:
@@ -66,10 +67,6 @@ def _c2pair(z) -> list:
     return [z.real, z.imag]
 
 
-def _pair2c(v) -> complex:
-    return complex(v[0], v[1])
-
-
 def recurrence_to_json_dict(rec: RecurrenceSystem) -> dict:
     return {
         "gamma": [_c2pair(g) for g in rec.gamma],
@@ -83,10 +80,10 @@ def recurrence_to_json_dict(rec: RecurrenceSystem) -> dict:
 
 def recurrence_from_json_dict(d: dict) -> RecurrenceSystem:
     return RecurrenceSystem(
-        gamma=[_pair2c(v) for v in d["gamma"]],
-        gamma_t=[_pair2c(v) for v in d["gamma_t"]],
-        a=[[_pair2c(v) for v in row] for row in d["a"]],
-        b=[[_pair2c(v) for v in row] for row in d["b"]],
-        pi0=_pair2c(d["pi0"]),
-        sigma0=_pair2c(d["sigma0"]),
+        gamma=[complex_from_pair(v) for v in d["gamma"]],
+        gamma_t=[complex_from_pair(v) for v in d["gamma_t"]],
+        a=[[complex_from_pair(v) for v in row] for row in d["a"]],
+        b=[[complex_from_pair(v) for v in row] for row in d["b"]],
+        pi0=complex_from_pair(d["pi0"]),
+        sigma0=complex_from_pair(d["sigma0"]),
     )

@@ -15,7 +15,6 @@ is the bilinear form of the two meshes with the kernel e^(rho x y).
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -233,20 +232,26 @@ def _prepare(contour: Contour, spec: WeightSpec, gprobe) -> list:
 # --- panel machinery ------------------------------------------------------
 
 def _panel_eval(spec: WeightSpec, qp: _QPiece, t0: float, t1: float, gfun):
+    """Kronrod value and |Kronrod - Gauss| of one panel, with its nodes and
+    the values W(x) dx there."""
     mid = 0.5 * (t0 + t1)
     half = 0.5 * (t1 - t0)
     t = mid + half * _XGK
     x = qp.geom.point(t)
-    dx = qp.geom.velocity(t)
-    w = spec.weight_tracked(x, qp.thetas(spec, t))
+    wdx = spec.weight_tracked(x, qp.thetas(spec, t)) * qp.geom.velocity(t)
     g = np.atleast_2d(gfun(x))
-    f = g * (w * dx)[None, :]
+    f = g * wdx[None, :]
     if not np.all(np.isfinite(f)):
         raise QuadratureStall("non-finite integrand sample")
     k15 = half * (f @ _WGK)
     g7 = half * (f[:, _GAUSS_IDX] @ _WG)
     err = np.abs(k15 - g7)
-    return k15, err
+    return k15, err, x, wdx
+
+
+# refinement has stalled after this many rounds in a row in which the halves
+# kept at least half of their parents' error on the worst unmet component
+_STALL_ROUNDS = 3
 
 
 def integrate_contour(contour: Contour, spec: WeightSpec, gfun, ncomp: int,
@@ -256,46 +261,36 @@ def integrate_contour(contour: Contour, spec: WeightSpec, gfun, ncomp: int,
     """integral of W(x) g(x) dx over the contour; g vector-valued.
 
     Returns (values, errors) with shapes (ncomp,). Tolerance per
-    component is max(atol, rtol * (1 + |I_comp|)); panels split worst
-    first until every component converges. When _panels is a list, the
-    final panels are appended to it as (piece, t0, t1) in path order.
+    component is max(atol, rtol * (1 + |I_comp|)). Refinement runs in
+    rounds: each round bisects the shortest worst-first run of panels
+    whose errors, once removed, would leave every unmet component within
+    its target. It ends when every component converges, or at the panel
+    budget or a stall, where it accepts within 20x the tolerance or
+    raises QuadratureStall. When _panels is a list, the final panels are
+    appended to it in path order as (nodes, W(x) dx times the half-width).
     """
     if rtol is None:
         rtol = default_tolerance()
     qpieces = _prepare(contour, spec, gfun)
 
-    cap = 256
-    meta = np.zeros((cap, 3))            # piece index, t0, t1
-    vals_arr = np.zeros((cap, ncomp), dtype=complex)
-    errs_arr = np.zeros((cap, ncomp))
-    count = 0
-
-    def push(ip, t0, t1):
-        nonlocal count, cap, meta, vals_arr, errs_arr
-        if count == cap:
-            cap *= 2
-            meta = np.resize(meta, (cap, 3))
-            vals_arr = np.resize(vals_arr, (cap, ncomp))
-            errs_arr = np.resize(errs_arr, (cap, ncomp))
-        v, e = _panel_eval(spec, qpieces[ip], t0, t1, gfun)
-        meta[count] = (ip, t0, t1)
-        vals_arr[count] = v
-        errs_arr[count] = e
-        count += 1
-
-    for ip, qp in enumerate(qpieces):
+    # (piece, t0, t1, _panel_eval result), kept in path order
+    panels = []
+    for qp in qpieces:
         n0 = 1
         if isinstance(qp.geom, Seg) and abs(qp.geom.b - qp.geom.a) > 3.0:
             n0 = _LONG_SEG_PANELS
         cuts = np.linspace(0.0, 1.0, n0 + 1)
-        for i in range(n0):
-            push(ip, cuts[i], cuts[i + 1])
+        panels.extend((qp, t0, t1, _panel_eval(spec, qp, t0, t1, gfun))
+                      for t0, t1 in zip(cuts[:-1], cuts[1:]))
 
     budget = max_panels * len(qpieces)
+    stalls = 0
     while True:
-        total = vals_arr[:count].sum(axis=0)
-        toterr = errs_arr[:count].sum(axis=0)
-        totabs = np.abs(vals_arr[:count]).sum(axis=0)
+        vals = np.array([p[3][0] for p in panels])
+        errs = np.array([p[3][1] for p in panels])
+        total = vals.sum(axis=0)
+        toterr = errs.sum(axis=0)
+        totabs = np.abs(vals).sum(axis=0)
         tol = np.maximum(atol, rtol * (1.0 + np.abs(total)))
         # roundoff floor: the error estimate cannot drop below machine eps
         # times the mass being cancelled along the path
@@ -303,34 +298,39 @@ def integrate_contour(contour: Contour, spec: WeightSpec, gfun, ncomp: int,
         bad = toterr > denom
         if not bad.any():
             break
-        if count >= budget:
+        if len(panels) >= budget or stalls >= _STALL_ROUNDS:
             if np.all(toterr <= np.maximum(20 * tol, 10 * 5e-15 * totabs)):
                 break
             raise QuadratureStall(
                 f"tolerance unreachable: err {float(np.max(toterr / tol)):.2e}x target "
-                f"with {count} panels"
+                f"with {len(panels)} panels"
             )
-        # split the panel worst-placed relative to the unmet tolerances, so
-        # large-magnitude components cannot starve small ones
-        scores = (errs_arr[:count][:, bad] / denom[bad]).max(axis=1)
-        k = int(np.argmax(scores))
-        ip, t0, t1 = int(meta[k, 0]), meta[k, 1], meta[k, 2]
-        # drop panel k by swapping in the last one
-        count -= 1
-        meta[k] = meta[count]
-        vals_arr[k] = vals_arr[count]
-        errs_arr[k] = errs_arr[count]
-        tm = 0.5 * (t0 + t1)
-        push(ip, t0, tm)
-        push(ip, tm, t1)
+        # rank panels by their worst share of an unmet target, so
+        # large-magnitude components cannot starve small ones, and bisect the
+        # shortest worst-first run whose removal would meet every target
+        scores = (errs[:, bad] / denom[bad]).max(axis=1)
+        order = np.argsort(-scores, kind="stable")
+        left = toterr[bad] - np.cumsum(errs[order][:, bad], axis=0)
+        n = 1 + np.count_nonzero(np.any(left > denom[bad], axis=1))
+        split = set(order[:n].tolist())
+        worst = int(np.argmax(toterr / denom))
+        before = errs[order[:n], worst].sum()
+        refined, after = [], 0.0
+        for i, panel in enumerate(panels):
+            if i not in split:
+                refined.append(panel)
+                continue
+            qp, t0, t1, _ = panel
+            tm = 0.5 * (t0 + t1)
+            for a, b in ((t0, tm), (tm, t1)):
+                ev = _panel_eval(spec, qp, a, b, gfun)
+                after += ev[1][worst]
+                refined.append((qp, a, b, ev))
+        panels = refined
+        stalls = stalls + 1 if after >= 0.5 * before else 0
 
-    # deterministic ordered reduction
-    order = np.lexsort((meta[:count, 1], meta[:count, 0]))
     if _panels is not None:
-        _panels.extend((qpieces[int(ip)], t0, t1) for ip, t0, t1 in meta[:count][order])
-    total = vals_arr[:count][order].sum(axis=0)
-    toterr = errs_arr[:count][order].sum(axis=0)
-    totabs = np.abs(vals_arr[:count][order]).sum(axis=0)
+        _panels.extend((ev[2], 0.5 * (t1 - t0) * ev[3]) for _, t0, t1, ev in panels)
     return total, np.maximum(toterr, 2e-16 * totabs)
 
 
@@ -435,32 +435,15 @@ class _Mesh:
     wg: np.ndarray
 
 
-def _mesh_from_panels(spec: WeightSpec, panels: list) -> _Mesh:
-    """Nodes and weights of the panels handed back by integrate_contour."""
-    xs, wks, wgs = [], [], []
-    for _, group in itertools.groupby(panels, key=lambda p: id(p[0])):
-        group = list(group)
-        qp = group[0][0]
-        t0 = np.array([p[1] for p in group])[:, None]
-        t1 = np.array([p[2] for p in group])[:, None]
-        half = 0.5 * (t1 - t0)
-        t = (0.5 * (t0 + t1) + half * _XGK).ravel()
-        x = qp.geom.point(t)
-        w = spec.weight_tracked(x, qp.thetas(spec, t)) * qp.geom.velocity(t)
-        base = half * w.reshape(-1, len(_XGK))
-        wg = np.zeros_like(base)
-        wg[:, _GAUSS_IDX] = base[:, _GAUSS_IDX] * _WG
-        xs.append(x)
-        wks.append((base * _WGK).ravel())
-        wgs.append(wg.ravel())
-    return _Mesh(np.concatenate(xs), np.concatenate(wks), np.concatenate(wgs))
-
-
 def _adapt_mesh(contour: Contour, spec: WeightSpec, gfun, ncomp: int,
                 rtol: float) -> _Mesh:
+    """The mesh of the panels on which integrate_contour converged for gfun."""
     panels = []
     integrate_contour(contour, spec, gfun, ncomp, rtol=rtol, _panels=panels)
-    return _mesh_from_panels(spec, panels)
+    base = np.array([hw for _, hw in panels])
+    wg = np.zeros_like(base)
+    wg[:, _GAUSS_IDX] = base[:, _GAUSS_IDX] * _WG
+    return _Mesh(np.concatenate([x for x, _ in panels]), (base * _WGK).ravel(), wg.ravel())
 
 
 def _coupled_mesh(contour: Contour, spec: WeightSpec, cols, other: _Mesh,

@@ -31,7 +31,7 @@ from .errors import (
     SingularFrontier,
 )
 from .polycore import CPoly, common_factor
-from .tables import PROV_INPUT, PROV_RECURRENCE, BimomentTable
+from .tables import PROV_INPUT, PROV_RECURRENCE, BimomentTable, complex_from_pair
 
 
 @dataclass
@@ -407,6 +407,6 @@ def spec_to_json_dict(spec: SemiclassicalSpec) -> dict:
 
 def spec_from_json_dict(d: dict) -> SemiclassicalSpec:
     def dec(v):
-        return CPoly([complex(x[0], x[1]) for x in v])
+        return CPoly([complex_from_pair(x) for x in v])
 
     return validate_spec(dec(d["A1"]), dec(d["B1"]), dec(d["A2"]), dec(d["B2"]))

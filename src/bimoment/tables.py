@@ -29,6 +29,14 @@ PROV_RECURRENCE = 2
 DEGENERACY_REL_TOL = 1e-12
 
 
+def complex_from_pair(v) -> complex:
+    """A complex number from its JSON form [re, im]; ValueError for any
+    other entry."""
+    if not isinstance(v, (list, tuple)) or len(v) != 2:
+        raise ValueError(f"entry {v!r} is not a pair [re, im]")
+    return complex(v[0], v[1])
+
+
 @dataclass
 class BimomentTable:
     """Dense (N+1) x (N+1) complex table of bimoments with provenance."""

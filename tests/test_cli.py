@@ -174,6 +174,59 @@ def test_certify_repeat_functional_out_of_range_exit_2(gaussian_spec, capsys):
     assert captured.err.splitlines() == ["error: --repeat-functional 5 outside 0..0"]
 
 
+@pytest.mark.parametrize("order, message", [
+    (-1, "error: --order must be >= 0, got -1"),
+    (0, "error: --order 0: (N+1)^2 = 1 is less than the 9 functionals"),
+    (1, "error: --order 1: (N+1)^2 = 4 is less than the 9 functionals"),
+])
+def test_certify_order_too_small_exit_2(quartic_spec, capsys, order, message):
+    """--order 0 and -1 once ended in a ValueError traceback."""
+    assert main(["certify", quartic_spec, "--order", str(order), "--skip-asymptotics"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [message]
+
+
+def test_certify_order_zero_counts_the_repeated_functional(gaussian_spec, capsys):
+    assert main(["certify", gaussian_spec, "--order", "0", "--skip-asymptotics"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "rank 1/1"
+    rc = main(["certify", gaussian_spec, "--order", "0", "--skip-asymptotics",
+               "--repeat-functional", "0"])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: --order 0: (N+1)^2 = 1 is less than the 2 functionals"]
+
+
+@pytest.mark.parametrize("entry", [[1], [1, 0, 7], 1], ids=["short", "long", "scalar"])
+@pytest.mark.parametrize("command", ["validate", "moments", "certify", "contours"])
+def test_spec_entry_not_a_pair_exit_2(tmp_path, capsys, command, entry):
+    """[1] once ended in an IndexError traceback; [1, 0, 7] was accepted
+    with its third number dropped."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"A1": [[0, 0], [0, 0], [0, 0], [1, 0]], "B1": [entry],
+                                "A2": [[0, 0], [0, 0], [0, 0], [1, 0]], "B2": [[1, 0]]}))
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: malformed spec file: entry {entry!r} is not a pair [re, im]"]
+
+
+@pytest.mark.parametrize("cut", [
+    lambda rec: rec["a"][2].__setitem__(1, [1.0, 0.0, 5.0]),
+    lambda rec: rec.__setitem__("pi0", [1.0]),
+], ids=["a2-three-numbers", "pi0-one-number"])
+def test_favard_entry_not_a_pair_exit_2(tmp_path, capsys, cut):
+    rec = _order8_recurrence()
+    cut(rec)
+    path = tmp_path / "rec8.json"
+    path.write_text(json.dumps(rec))
+    assert main(["favard", str(path), "--order", "8", "--out", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed recurrence file: entry [")
+
+
 def test_contours_dump_and_reload(quartic_spec, tmp_path):
     out = tmp_path / "contours.json"
     assert main(["contours", quartic_spec, "--marginal", "x",

@@ -1,5 +1,7 @@
 import cmath
 import math
+import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -619,3 +621,78 @@ def test_extracted_recurrence_reconstructs_semiclassical_table(gauss_setup):
     scale = np.max(np.abs(table.entries))
     assert np.max(np.abs(back.entries - table.entries)) <= 1e-8 * scale
     assert recurrence_residual(spec, back) <= 1e-6
+
+
+# --- the adaptive engine ------------------------------------------------------
+
+def _engine_cases():
+    """Every contour of the quartic weight (infinity loops) and of the
+    a = 1.25 pole-loop weight y^2 + 1.25 over y/2."""
+    for A, B in ((CPoly([0, 0, 0, 1]), ONE), (CPoly([1.25, 0, 1]), CPoly([0, 0.5]))):
+        w = build_weight(A, B)
+        for c in build_contours(w):
+            yield w, c
+
+
+def _powers(x):
+    return np.vander(x, 5, increasing=True).T
+
+
+def test_adapted_mesh_reproduces_the_integral():
+    """The Kronrod sum over the mesh _adapt_mesh hands back equals the
+    integrate_contour value, to 1e-14 of the summed |terms|."""
+    from bimoment.quadrature import _adapt_mesh, integrate_contour
+
+    for w, c in _engine_cases():
+        mesh = _adapt_mesh(c, w, _powers, 5, 1e-10)
+        vals, _ = integrate_contour(c, w, _powers, 5, rtol=1e-10)
+        terms = _powers(mesh.x) * mesh.wk
+        assert np.all(np.abs(terms.sum(axis=1) - vals) <= 1e-14 * np.abs(terms).sum(axis=1))
+        assert mesh.x.shape == mesh.wk.shape == mesh.wg.shape
+        assert len(mesh.x) % 15 == 0
+
+
+def test_adapted_mesh_is_deterministic():
+    from bimoment.quadrature import _adapt_mesh
+
+    for w, c in _engine_cases():
+        a = _adapt_mesh(c, w, _powers, 5, 1e-10)
+        b = _adapt_mesh(c, w, _powers, 5, 1e-10)
+        for name in ("x", "wk", "wg"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+@contextmanager
+def _deadline(seconds):
+    """Fail, instead of hanging, when the block runs past seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _pole_loop_handle(a):
+    spec = validate_spec(CPoly([0, 0, 0, 1]), ONE, CPoly([a, 0, 1]), CPoly([0, 0.5]))
+    return make_setup(spec).handle(0, 0)
+
+
+def test_stalled_refinement_accepts_within_the_budget_tolerance():
+    """At a = 1.6 bisection stops shrinking the x loop's error near 0.87 of
+    the tolerance; the engine once ran past two minutes on this table."""
+    with _deadline(30):
+        table, err = _pole_loop_handle(1.6).table_with_errors(6)
+    assert np.all(np.isfinite(table.entries))
+    assert np.all(err <= 1e-6 * np.abs(table.entries))
+
+
+def test_stalled_refinement_out_of_tolerance_raises():
+    from bimoment.errors import QuadratureStall
+
+    with _deadline(30), pytest.raises(QuadratureStall, match="tolerance unreachable"):
+        _pole_loop_handle(2.2).table(6)
