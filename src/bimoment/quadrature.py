@@ -2,10 +2,15 @@
 
 The engine integrates W(x) * g(x) dx along a Contour with 15-point
 Gauss-Kronrod panels and bisection, vectorized over the components of g.
-Unbounded pieces are truncated where the sampled integrand has dropped
-~20 decades below its running maximum; multivalued weight factors are
-continued along the path from a fixed anchor point so branch choices do
-not depend on truncation or panel counts.
+Refinement runs in global-error rounds (QUADPACK qag; Gander & Gautschi,
+BIT 40, 2000). The initial panels, and then the new halves of each round,
+are evaluated together on stacked nodes: one weight call over all of
+them, and g on at most about 2^14 integrand values per call, so memory
+stays flat however many panels a round splits. Unbounded pieces are
+truncated where the sampled integrand has dropped ~20 decades below its
+running maximum; multivalued weight factors are continued along the path
+from a fixed anchor point so branch choices do not depend on truncation or
+panel counts.
 
 Double integrals over product contours use a product rule: each contour
 gets one converged Kronrod mesh, adapted against the other contour's
@@ -60,8 +65,11 @@ _WG = np.array(_WGH + _WGH[-2::-1])
 _GAUSS_IDX = np.arange(1, 15, 2)
 
 MAX_PANELS_PER_PIECE = 2 ** 14
-# initial panels on a segment longer than 3, before any bisection
+# initial panels on a segment longer than 3, before any bisection, and the
+# initial cuts in the piece parameter of such a segment and of other pieces
 _LONG_SEG_PANELS = 6
+_LONG_SEG_CUTS = np.linspace(0.0, 1.0, _LONG_SEG_PANELS + 1)
+_UNIT_CUTS = np.array([0.0, 1.0])
 
 
 def default_tolerance() -> float:
@@ -231,22 +239,55 @@ def _prepare(contour: Contour, spec: WeightSpec, gprobe) -> list:
 
 # --- panel machinery ------------------------------------------------------
 
-def _panel_eval(spec: WeightSpec, qp: _QPiece, t0: float, t1: float, gfun):
-    """Kronrod value and |Kronrod - Gauss| of one panel, with its nodes and
-    the values W(x) dx there."""
-    mid = 0.5 * (t0 + t1)
-    half = 0.5 * (t1 - t0)
-    t = mid + half * _XGK
-    x = qp.geom.point(t)
-    wdx = spec.weight_tracked(x, qp.thetas(spec, t)) * qp.geom.velocity(t)
-    g = np.atleast_2d(gfun(x))
-    f = g * wdx[None, :]
-    if not np.all(np.isfinite(f)):
-        raise QuadratureStall("non-finite integrand sample")
+def _panel_eval(half: float, f: np.ndarray):
+    """Kronrod value and |Kronrod - Gauss| of one panel of half-width half
+    (in the piece parameter) from its samples f = g(x) W(x) dx/dt, shape
+    (ncomp, 15)."""
     k15 = half * (f @ _WGK)
     g7 = half * (f[:, _GAUSS_IDX] @ _WG)
-    err = np.abs(k15 - g7)
-    return k15, err, x, wdx
+    return k15, np.abs(k15 - g7)
+
+
+# integrand values per stacked gfun call: a pass hands gfun the nodes of at
+# most max(1, _STACK_VALUES // (15 ncomp)) panels at a time
+_STACK_VALUES = 2 ** 14
+
+
+def _eval_pass(spec: WeightSpec, qpieces: list, piece: np.ndarray, t0: np.ndarray,
+               t1: np.ndarray, gfun, ncomp: int):
+    """Evaluate the panels [t0, t1] of qpieces[piece] (in path order) on
+    stacked nodes: per piece one geometry and branch pass, one weight call
+    over all the nodes, and gfun in blocks of about _STACK_VALUES values.
+
+    Returns (k15, err, x, wdx) with shapes (P, ncomp), (P, ncomp), (P, 15)
+    and (P, 15): _panel_eval's result per panel, the nodes and the values
+    W(x) dx/dt there.
+    """
+    half = 0.5 * (t1 - t0)
+    t = (0.5 * (t0 + t1))[:, None] + half[:, None] * _XGK
+    # the panels of one piece are consecutive
+    edges = [0, *(np.flatnonzero(np.diff(piece)) + 1).tolist(), len(piece)]
+    xs, vels, thetas = [], [], []
+    for a, b in zip(edges[:-1], edges[1:]):
+        qp = qpieces[piece[a]]
+        tt = t[a:b].ravel()
+        xs.append(qp.geom.point(tt))
+        vels.append(qp.geom.velocity(tt))
+        thetas.append(qp.thetas(spec, tt))
+    x = np.concatenate(xs)
+    wdx = spec.weight_tracked(x, {i: np.concatenate([th[i] for th in thetas])
+                                  for i in thetas[0]}) * np.concatenate(vels)
+    step = max(1, _STACK_VALUES // (15 * max(ncomp, 1)))
+    evs = []
+    for p0 in range(0, len(piece), step):
+        nodes = slice(15 * p0, 15 * (p0 + step))
+        f = np.atleast_2d(gfun(x[nodes])) * wdx[nodes]
+        if not np.all(np.isfinite(f)):
+            raise QuadratureStall("non-finite integrand sample")
+        evs.extend(_panel_eval(h, f[:, c:c + 15])
+                   for h, c in zip(half[p0:p0 + step], range(0, f.shape[1], 15)))
+    return (np.array([ev[0] for ev in evs]), np.array([ev[1] for ev in evs]),
+            x.reshape(-1, 15), wdx.reshape(-1, 15))
 
 
 # refinement has stalled after this many rounds in a row in which the halves
@@ -258,36 +299,36 @@ def integrate_contour(contour: Contour, spec: WeightSpec, gfun, ncomp: int,
                       rtol: Optional[float] = None, atol: float = 0.0,
                       max_panels: int = MAX_PANELS_PER_PIECE,
                       _panels: Optional[list] = None):
-    """integral of W(x) g(x) dx over the contour; g vector-valued.
+    """integral of W(x) g(x) dx over the contour; g vector-valued with ncomp
+    components.
 
     Returns (values, errors) with shapes (ncomp,). Tolerance per
-    component is max(atol, rtol * (1 + |I_comp|)). Refinement runs in
-    rounds: each round bisects the shortest worst-first run of panels
-    whose errors, once removed, would leave every unmet component within
-    its target. It ends when every component converges, or at the panel
-    budget or a stall, where it accepts within 20x the tolerance or
-    raises QuadratureStall. When _panels is a list, the final panels are
-    appended to it in path order as (nodes, W(x) dx times the half-width).
+    component is max(atol, rtol * (1 + |I_comp|)). The initial panels,
+    then the new halves of each round, are evaluated together on stacked
+    nodes (see _eval_pass). Refinement runs in rounds: each round bisects
+    the shortest worst-first run of panels whose errors, once removed,
+    would leave every unmet component within its target. It ends when
+    every component converges, or at the panel budget or a stall, where it
+    accepts within 20x the tolerance or raises QuadratureStall. When
+    _panels is a list, the final panels are appended to it as one pair
+    (nodes, W(x) dx times the half-width) of (P, 15) arrays in path order.
     """
     if rtol is None:
         rtol = default_tolerance()
     qpieces = _prepare(contour, spec, gfun)
 
-    # (piece, t0, t1, _panel_eval result), kept in path order
-    panels = []
-    for qp in qpieces:
-        n0 = 1
-        if isinstance(qp.geom, Seg) and abs(qp.geom.b - qp.geom.a) > 3.0:
-            n0 = _LONG_SEG_PANELS
-        cuts = np.linspace(0.0, 1.0, n0 + 1)
-        panels.extend((qp, t0, t1, _panel_eval(spec, qp, t0, t1, gfun))
-                      for t0, t1 in zip(cuts[:-1], cuts[1:]))
+    # the panels in path order: piece index, parameter interval, Kronrod
+    # value, error, nodes and W(x) dx/dt at the nodes
+    cuts = [_LONG_SEG_CUTS if isinstance(qp.geom, Seg) and abs(qp.geom.b - qp.geom.a) > 3.0
+            else _UNIT_CUTS for qp in qpieces]
+    piece = np.repeat(np.arange(len(cuts)), [len(c) - 1 for c in cuts])
+    t0 = np.concatenate([c[:-1] for c in cuts])
+    t1 = np.concatenate([c[1:] for c in cuts])
+    vals, errs, x, wdx = _eval_pass(spec, qpieces, piece, t0, t1, gfun, ncomp)
 
     budget = max_panels * len(qpieces)
     stalls = 0
     while True:
-        vals = np.array([p[3][0] for p in panels])
-        errs = np.array([p[3][1] for p in panels])
         total = vals.sum(axis=0)
         toterr = errs.sum(axis=0)
         totabs = np.abs(vals).sum(axis=0)
@@ -298,12 +339,12 @@ def integrate_contour(contour: Contour, spec: WeightSpec, gfun, ncomp: int,
         bad = toterr > denom
         if not bad.any():
             break
-        if len(panels) >= budget or stalls >= _STALL_ROUNDS:
+        if len(vals) >= budget or stalls >= _STALL_ROUNDS:
             if np.all(toterr <= np.maximum(20 * tol, 10 * 5e-15 * totabs)):
                 break
             raise QuadratureStall(
                 f"tolerance unreachable: err {float(np.max(toterr / tol)):.2e}x target "
-                f"with {len(panels)} panels"
+                f"with {len(vals)} panels"
             )
         # rank panels by their worst share of an unmet target, so
         # large-magnitude components cannot starve small ones, and bisect the
@@ -312,25 +353,27 @@ def integrate_contour(contour: Contour, spec: WeightSpec, gfun, ncomp: int,
         order = np.argsort(-scores, kind="stable")
         left = toterr[bad] - np.cumsum(errs[order][:, bad], axis=0)
         n = 1 + np.count_nonzero(np.any(left > denom[bad], axis=1))
-        split = set(order[:n].tolist())
         worst = int(np.argmax(toterr / denom))
         before = errs[order[:n], worst].sum()
-        refined, after = [], 0.0
-        for i, panel in enumerate(panels):
-            if i not in split:
-                refined.append(panel)
-                continue
-            qp, t0, t1, _ = panel
-            tm = 0.5 * (t0 + t1)
-            for a, b in ((t0, tm), (tm, t1)):
-                ev = _panel_eval(spec, qp, a, b, gfun)
-                after += ev[1][worst]
-                refined.append((qp, a, b, ev))
-        panels = refined
+        # splice: each split panel becomes its two halves, in path order
+        split = np.zeros(len(vals), dtype=bool)
+        split[order[:n]] = True
+        piece, t0, t1, vals, errs, x, wdx = (np.repeat(a, 1 + split, axis=0)
+                                             for a in (piece, t0, t1, vals, errs, x, wdx))
+        lo = np.flatnonzero(split) + np.arange(n)
+        tm = 0.5 * (t0[lo] + t1[lo])
+        t1[lo] = tm
+        t0[lo + 1] = tm
+        halves = np.stack([lo, lo + 1], axis=1).ravel()
+        vals[halves], errs[halves], x[halves], wdx[halves] = _eval_pass(
+            spec, qpieces, piece[halves], t0[halves], t1[halves], gfun, ncomp)
+        # a sequential sum in path order: np.sum pairs terms and rounds
+        # differently, which could move the stall decision
+        after = np.cumsum(errs[halves, worst])[-1]
         stalls = stalls + 1 if after >= 0.5 * before else 0
 
     if _panels is not None:
-        _panels.extend((ev[2], 0.5 * (t1 - t0) * ev[3]) for _, t0, t1, ev in panels)
+        _panels.append((x, (0.5 * (t1 - t0))[:, None] * wdx))
     return total, np.maximum(toterr, 2e-16 * totabs)
 
 
@@ -440,10 +483,32 @@ def _adapt_mesh(contour: Contour, spec: WeightSpec, gfun, ncomp: int,
     """The mesh of the panels on which integrate_contour converged for gfun."""
     panels = []
     integrate_contour(contour, spec, gfun, ncomp, rtol=rtol, _panels=panels)
-    base = np.array([hw for _, hw in panels])
+    (x, base), = panels
     wg = np.zeros_like(base)
     wg[:, _GAUSS_IDX] = base[:, _GAUSS_IDX] * _WG
-    return _Mesh(np.concatenate([x for x, _ in panels]), (base * _WGK).ravel(), wg.ravel())
+    return _Mesh(x.ravel(), (base * _WGK).ravel(), wg.ravel())
+
+
+_KERNEL_ROWS = 16
+
+
+def _kernel_apply(u: np.ndarray, v: np.ndarray, Y: np.ndarray,
+                  absY: Optional[np.ndarray] = None):
+    """K @ Y for the kernel K = exp(u vᵀ), and |K| @ absY when absY is
+    given (else None). K is formed in blocks of _KERNEL_ROWS rows, never
+    whole."""
+    KY = np.empty((len(u), Y.shape[1]), dtype=complex)
+    absKY = None if absY is None else np.empty((len(u), absY.shape[1]))
+    buf = np.empty((_KERNEL_ROWS, len(v)), dtype=complex)
+    for r0 in range(0, len(u), _KERNEL_ROWS):
+        rows = slice(r0, r0 + _KERNEL_ROWS)
+        blk = buf[: len(u[rows])]
+        np.multiply.outer(u[rows], v, out=blk)
+        np.exp(blk, out=blk)
+        KY[rows] = blk @ Y
+        if absY is not None:
+            absKY[rows] = np.abs(blk) @ absY
+    return KY, absKY
 
 
 def _coupled_mesh(contour: Contour, spec: WeightSpec, cols, other: _Mesh,
@@ -454,9 +519,10 @@ def _coupled_mesh(contour: Contour, spec: WeightSpec, cols, other: _Mesh,
     shape (n,) to values of shape (n, ncols)."""
     V = other.wk[:, None] * other_cols(other.x)
     ncomp = cols(np.zeros(1)).shape[1] * V.shape[1]
+    rv = rho * other.x
 
     def gfun(u):
-        S = np.exp(rho * np.multiply.outer(u, other.x)) @ V      # (nu, b)
+        S, _ = _kernel_apply(u, rv, V)                           # (nu, b)
         P = cols(u)                                              # (nu, a)
         return (P.T[:, None, :] * S.T[None, :, :]).reshape(ncomp, len(u))
 
@@ -493,32 +559,17 @@ def _product_meshes(handle: FunctionalHandle, fx, fy, rtol: Optional[float]):
     return mx, my
 
 
-_KERNEL_ROWS = 16
-
-
 def _product_rule(mx: _Mesh, my: _Mesh, rho: float, Px: np.ndarray, Py: np.ndarray):
     """The bilinear form F = Xᵀ exp(rho x yᵀ) Y with X[k, a] = wk_k Px[k, a]
     and Y[l, b] = wk_l Py[l, b], for column values Px, Py at the nodes of
     mx, my. Returns (F, err, mass): err is |F_KK - F_GK| + |F_KK - F_KG|
     (Kronrod minus Gauss on each factor) and mass the summed |terms| of
-    each entry, for a roundoff floor. The kernel is formed in blocks of
-    rows, never whole."""
+    each entry, for a roundoff floor."""
     na, nb = Px.shape[1], Py.shape[1]
     # Kronrod rule and Kronrod-minus-Gauss side by side
     X = np.hstack([mx.wk[:, None] * Px, (mx.wk - mx.wg)[:, None] * Px])
     Y = np.hstack([my.wk[:, None] * Py, (my.wk - my.wg)[:, None] * Py])
-    absY = np.abs(Y[:, :nb])
-    KY = np.empty((len(mx.x), 2 * nb), dtype=complex)
-    absKY = np.empty((len(mx.x), nb))
-    buf = np.empty((_KERNEL_ROWS, len(my.x)), dtype=complex)
-    ry = rho * my.x
-    for r0 in range(0, len(mx.x), _KERNEL_ROWS):
-        rows = slice(r0, r0 + _KERNEL_ROWS)
-        blk = buf[: len(mx.x[rows])]
-        np.multiply.outer(mx.x[rows], ry, out=blk)
-        np.exp(blk, out=blk)
-        KY[rows] = blk @ Y
-        absKY[rows] = np.abs(blk) @ absY
+    KY, absKY = _kernel_apply(mx.x, rho * my.x, Y, np.abs(Y[:, :nb]))
     acc = X.T @ KY
     F = acc[:na, :nb].copy()
     err = np.abs(acc[na:, :nb]) + np.abs(acc[:na, nb:])

@@ -216,22 +216,30 @@ def test_gaussian_table_within_stated_error(gauss_setup, rtol):
 
 
 def test_quartic_tables_panel_budget(monkeypatch):
-    """All 9 quartic tables at N=8 once took 17,600 panel evaluations as
-    nested adaptive quadrature; the product rule needs under a quarter."""
+    """All 9 quartic tables at N=8 once took 390 integrations, 17,600 panel
+    evaluations and 780 ray truncations as nested adaptive quadrature. The
+    product rule's counts are pinned exactly: evaluating a round's panels
+    on stacked nodes must not move any of them."""
     from bimoment import quadrature
 
-    calls = [0]
-    original = quadrature._panel_eval
+    calls = {}
 
-    def counted(*args):
-        calls[0] += 1
-        return original(*args)
+    def count(name):
+        original = getattr(quadrature, name)
+        calls[name] = 0
 
-    monkeypatch.setattr(quadrature, "_panel_eval", counted)
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature, name, counted)
+
+    for name in ("integrate_contour", "_panel_eval", "_truncate_ray"):
+        count(name)
     spec = validate_spec(CPoly([0, 0, 0, 1]), ONE, CPoly([0, 0, 0, 1]), ONE)
     for h in make_setup(spec).handles:
         bimoment_table(h, 8)
-    assert 0 < calls[0] <= 4400
+    assert calls == {"integrate_contour": 36, "_panel_eval": 1314, "_truncate_ray": 72}
 
 
 def test_negative_order_rejected(gauss_setup):
@@ -696,3 +704,150 @@ def test_stalled_refinement_out_of_tolerance_raises():
 
     with _deadline(30), pytest.raises(QuadratureStall, match="tolerance unreachable"):
         _pole_loop_handle(2.2).table(6)
+
+
+# --- stacked evaluation -------------------------------------------------------
+
+def _stacking_cases():
+    """The a = 1.25 pole-loop contours, whose tracked branch is continued
+    piece by piece, and a traced steepest-descent contour of 56 chords."""
+    w = build_weight(CPoly([1.25, 0, 1]), CPoly([0, 0.5]))
+    for c in build_contours(w):
+        yield w, c, _powers, 5
+    z = 20 * cmath.exp(-0.3j)
+    w = build_weight(CPoly([0.1, 0, 1]), ONE)
+    sdc = trace_sdc(w, z, 0)
+    assert len(sdc.pieces) >= 56
+
+    def laplace_powers(x):
+        return _powers(x) * np.exp(z * x)
+
+    yield w, sdc, laplace_powers, 5
+
+
+def _engine_results():
+    from bimoment.quadrature import _adapt_mesh, integrate_contour
+
+    out = []
+    for w, c, g, ncomp in _stacking_cases():
+        out.append(integrate_contour(c, w, g, ncomp, rtol=1e-10))
+        mesh = _adapt_mesh(c, w, g, ncomp, 1e-10)
+        out.append((mesh.x, mesh.wk, mesh.wg))
+    return out
+
+
+def test_stacked_pass_is_bit_identical_to_one_panel_at_a_time(monkeypatch):
+    """A pass evaluates its panels on stacked nodes. Handing gfun one panel
+    per call, or running every panel as a pass of its own (one weight call
+    per panel, as a per-panel engine would), changes no bit of the values,
+    errors or meshes."""
+    from bimoment import quadrature
+
+    stacked = _engine_results()
+    monkeypatch.setattr(quadrature, "_STACK_VALUES", 1)
+    one_per_call = _engine_results()
+    original = quadrature._eval_pass
+
+    def one_panel_per_pass(spec, qpieces, piece, t0, t1, gfun, ncomp):
+        parts = [original(spec, qpieces, piece[i:i + 1], t0[i:i + 1], t1[i:i + 1],
+                          gfun, ncomp) for i in range(len(piece))]
+        return tuple(np.concatenate(p) for p in zip(*parts))
+
+    monkeypatch.setattr(quadrature, "_eval_pass", one_panel_per_pass)
+    one_per_pass = _engine_results()
+    for other in (one_per_call, one_per_pass):
+        assert len(other) == len(stacked)
+        for a, b in zip(stacked, other):
+            for u, v in zip(a, b):
+                assert u.tobytes() == v.tobytes()
+
+
+def test_stacked_calls_stay_within_the_value_budget(monkeypatch):
+    """gfun never sees more than max(1, _STACK_VALUES // (15 ncomp))
+    panels at once, and every panel is still one _panel_eval call."""
+    from bimoment import quadrature
+
+    w = build_weight(CPoly([1.25, 0, 1]), CPoly([0, 0.5]))
+    c = build_contours(w)[0]
+    monkeypatch.setattr(quadrature, "_STACK_VALUES", 15 * 5 * 3)
+    sizes, panels = [], [0]
+    original = quadrature._panel_eval
+
+    def counted(*args):
+        panels[0] += 1
+        return original(*args)
+
+    def g(x):
+        sizes.append(len(x))
+        return _powers(x)
+
+    monkeypatch.setattr(quadrature, "_panel_eval", counted)
+    mesh = quadrature._adapt_mesh(c, w, g, 5, 1e-10)
+    # the truncation probes see one node, a stacked call 1 to 3 panels
+    stacked = [n for n in sizes if n > 1]
+    assert max(stacked) == 45 and set(stacked) <= {15, 30, 45}
+    assert sum(stacked) == 15 * panels[0] >= len(mesh.x)
+
+
+def _gaussian_generating_call():
+    h = make_setup(validate_spec(CPoly([0, 1.8]), ONE, CPoly([0, 1.6]), ONE)).handle(0, 0)
+    return lambda: generating_eval(h, 0.3, -0.2), h
+
+
+def _gaussian_table_call():
+    h = make_setup(validate_spec(CPoly([0, 2]), ONE, CPoly([0, 2]), ONE)).handle(0, 0)
+    return lambda: h.table(8), h
+
+
+def _pole_loop_table_call():
+    h = _pole_loop_handle(1.25)
+    return lambda: h.table(8), h
+
+
+@pytest.mark.parametrize("call, bound_mb", [
+    (_gaussian_generating_call, 0.5),
+    (_gaussian_table_call, 2.0),
+    (_pole_loop_table_call, 2.0),
+])
+def test_stacked_passes_keep_memory_flat(call, bound_mb):
+    """Peak traced allocation of one warm call: about 0.3, 1.4 and 1.3 MB.
+    Forming the coupled kernel exp(rho u vᵀ) whole instead of in blocks of
+    _KERNEL_ROWS rows raises them to about 2.4, 15 and 11 MB. (The gfun
+    value cap is checked by call size above: these calls stack too few
+    panels per pass to reach it.)"""
+    import tracemalloc
+
+    run, handle = call()
+    run()
+    handle._cache.clear()
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mb * 1e6
+
+
+def test_quartic_real_line_table_matches_mpmath_gamma_series(quartic_setup):
+    """The loops of handles (0,0), (0,1), (1,0), (1,1) add up to the real
+    line, where mu[n, m] = sum_k M_(n+k) M_(m+k) / k! with
+    M_j = 2 4^((j-3)/4) Gamma((j+1)/4) for even j (0 for odd j), here summed
+    at 30 digits. Every entry is within the summed stated errors."""
+    mpmath = pytest.importorskip("mpmath")
+    N = 8
+    _, setup = quartic_setup
+    parts = [setup.handle(i, j).table_with_errors(N) for i in (0, 1) for j in (0, 1)]
+    total = sum(t.entries for t, _ in parts)
+    err = sum(e for _, e in parts)
+    with mpmath.workdps(30):
+        def M(j):
+            if j % 2:
+                return mpmath.mpf(0)
+            return 2 * mpmath.power(4, mpmath.mpf(j - 3) / 4) * mpmath.gamma(mpmath.mpf(j + 1) / 4)
+
+        # by k = 120 the terms are below 1e-90 of the sum
+        want = [[float(mpmath.fsum(M(n + k) * M(m + k) / mpmath.factorial(k)
+                                   for k in range(121)))
+                 for m in range(N + 1)] for n in range(N + 1)]
+    assert np.all(np.abs(total - np.array(want)) <= err)
