@@ -68,7 +68,9 @@ class MultipleSharedRoots(BimomentError):
 
 class InconsistentSeed(BimomentError):
     """Moment propagation found the overdetermined system incompatible with
-    the supplied seed block."""
+    the supplied seed block: one antidiagonal's least-squares residual, or
+    the error grown across antidiagonals that each met their own bound
+    (the finished table's recurrence_residual), exceeds the tolerance."""
 
     def __init__(self, residual, tol):
         self.residual = residual

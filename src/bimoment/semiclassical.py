@@ -174,9 +174,12 @@ def _recurrence_terms(spec: SemiclassicalSpec):
 
     def terms(side, n, m):
         along, across, c0, c1 = stencils[side]
+        # C is the largest array; forming it in place saves a copy
+        C = (m if side else n) * c1
+        C += c0
         if side:
-            return across + n, along + m, c0 + m * c1
-        return along + n, across + m, c0 + n * c1
+            return across + n, along + m, C
+        return along + n, across + m, C
     return terms
 
 
@@ -201,56 +204,70 @@ def recurrence_residual(spec: SemiclassicalSpec, table: BimomentTable) -> float:
     return max(worst(0), worst(1))
 
 
-def propagate_moments(spec: SemiclassicalSpec, seed, N: int,
-                      residual_tol: float = 1e-8) -> BimomentTable:
-    """Extend the seed block mu[0..a1, 0..a2] to a size-N table.
+def _frontier_plan(terms, side, top, Ni):
+    """The seed-independent part of one side's frontier equations.
 
-    Works antidiagonal by antidiagonal: every recurrence instance whose
-    highest-order entries sit on the current frontier becomes one linear
-    equation; the (often overdetermined) system is solved by least
-    squares and its residual checked against residual_tol times the
-    scale of the participating entries. The seed block entries are the
-    (a1+1)*(a2+1) free parameters and are never constrained.
+    The instances are those whose terms fit in the (Ni+1)^2 grid, ordered
+    by their top antidiagonal k = n + m + top and then by n, so that the
+    equations of antidiagonal k are the columns edges[k]:edges[k+1]. The
+    terms that reach furthest along and across the side have constant
+    nonzero coefficients (deg B_i < deg A_i), so bounding n and m by the
+    stencil's reach keeps exactly the instances that fit. Returns
+    (edges, flat grid index of every term, its coefficient, terms that
+    need not be known (absent, or at or above the frontier), present
+    terms on the frontier), each array of shape (terms, instances).
     """
-    seed = np.asarray(seed, dtype=complex)
-    if seed.shape != (spec.a1 + 1, spec.a2 + 1):
-        raise ValueError(
-            f"seed block must be {(spec.a1 + 1, spec.a2 + 1)}, got {seed.shape}"
-        )
-    # internal margin lets instances reach across the cropped edge
-    Ni = N + max(spec.a1, spec.a2) + 2
-    known = np.zeros((Ni + 1, Ni + 1), dtype=bool)
-    mu = np.zeros((Ni + 1, Ni + 1), dtype=complex)
-    mu[: spec.a1 + 1, : spec.a2 + 1] = seed
-    known[: spec.a1 + 1, : spec.a2 + 1] = True
+    reach_i, reach_j, _ = terms(side, 0, 0)
+    n, m = (g.ravel() for g in np.indices((Ni + 1 - reach_i.max(), Ni + 1 - reach_j.max())))
+    order = np.lexsort((n, n + m))
+    n, m = n[order], m[order]
+    k = n + m + top
+    I, J, C = terms(side, n, m)
+    present = C != 0
+    # absent terms may point off the grid; their index is clipped. In
+    # place: these (terms, instances) arrays set the call's peak memory.
+    np.clip(I, 0, Ni, out=I)
+    np.clip(J, 0, Ni, out=J)
+    level = I + J
+    level -= k
+    free, front = ~present | (level >= 0), present & (level == 0)
+    del level
+    I *= Ni + 1
+    I += J
+    edges = np.searchsorted(k, np.arange(2 * Ni + 2)).tolist()
+    return edges, I.astype(np.int32), C, free, front
 
+
+def _solve_frontiers(spec: SemiclassicalSpec, mu, known, residual_tol: float):
+    """Fill mu and known in place, antidiagonal by antidiagonal (see
+    propagate_moments). The plan lives only as long as this call."""
+    Ni = len(mu) - 1
+    known_flat, mu_flat = known.reshape(-1), mu.reshape(-1)
     terms = _recurrence_terms(spec)
+    plan = [_frontier_plan(terms, side, top, Ni)
+            for side, top in enumerate((spec.a1 + 1, spec.a2 + 1))]
     for k in range(1, 2 * Ni + 1):
         # each usable instance whose top antidiagonal is k is one equation
         # in the unknown entries of that antidiagonal
         rows, cols, coefs, rhs = [], [], [], []
         nrows = 0
-        for side, top in ((0, spec.a1 + 1), (1, spec.a2 + 1)):
-            s = k - top
-            if s < 0:
+        for edges, flat, coef, free, front in plan:
+            lo, hi = edges[k], edges[k + 1]
+            if lo == hi:
                 continue
-            n = np.arange(s + 1)
-            I, J, C = terms(side, n, s - n)
-            present = C != 0
-            inside = (I <= Ni) & (J <= Ni)
-            I, J = np.clip(I, 0, Ni), np.clip(J, 0, Ni)
-            kn = known[I, J]
-            # usable: every present term is inside and known below the frontier
-            usable = np.all(~present | (inside & (kn | (I + J >= k))), axis=0)
-            unk = present & usable & (I + J == k) & ~kn
+            f, C = flat[:, lo:hi], coef[:, lo:hi]
+            kn = known_flat[f]
+            # usable: every present term below the frontier is known
+            usable = np.all(kn | free[:, lo:hi], axis=0)
+            unk = front[:, lo:hi] & usable & ~kn
             active = unk.any(axis=0)
-            unk, I, J, C = unk[:, active], I[:, active], J[:, active], C[:, active]
+            unk, f, C = unk[:, active], f[:, active], C[:, active]
             t, r = np.nonzero(unk)
             rows.append(nrows + r)
-            cols.append(I[t, r] * (Ni + 1) + J[t, r])
+            cols.append(f[t, r])
             coefs.append(C[t, r])
-            rhs.append(-np.where(unk, 0, C * mu[I, J]).sum(axis=0))
-            nrows += int(active.sum())
+            rhs.append(-np.where(unk, 0, C * mu_flat[f]).sum(axis=0))
+            nrows += unk.shape[1]
         if not nrows:
             continue
         # unknowns are numbered by their flat index into mu
@@ -276,15 +293,60 @@ def propagate_moments(spec: SemiclassicalSpec, seed, N: int,
         resid = float(np.max(np.abs(A @ x - b)))
         if resid > residual_tol * scale:
             raise InconsistentSeed(resid / scale, residual_tol)
-        mu.flat[ids] = x
-        known.flat[ids] = True
+        mu_flat[ids] = x
+        known_flat[ids] = True
+
+
+def propagate_moments(spec: SemiclassicalSpec, seed, N: int,
+                      residual_tol: float = 1e-8) -> BimomentTable:
+    """Extend the seed block mu[0..a1, 0..a2] to a size-N table.
+
+    Works antidiagonal by antidiagonal: every recurrence instance whose
+    highest-order entries sit on the current frontier becomes one linear
+    equation; the (often overdetermined) system is solved by least
+    squares and its residual checked against residual_tol times the
+    scale of the participating entries. The seed block entries are the
+    (a1+1)*(a2+1) free parameters and are never constrained.
+
+    The stencils are evaluated once per call (_frontier_plan); each
+    antidiagonal then only gathers which entries are known, builds its
+    right-hand side and solves. Errors can still grow across
+    antidiagonals that each pass, so the finished table must also meet
+    recurrence_residual <= residual_tol, else InconsistentSeed.
+
+    Raises ValueError for N < 0, a misshapen or non-finite seed block and
+    a residual_tol that is not positive and finite.
+    """
+    if N < 0:
+        raise ValueError(f"table order must be >= 0, got {N}")
+    if not (np.isfinite(residual_tol) and residual_tol > 0):
+        raise ValueError(f"residual_tol must be positive and finite, got {residual_tol}")
+    seed = np.asarray(seed, dtype=complex)
+    if seed.shape != (spec.a1 + 1, spec.a2 + 1):
+        raise ValueError(
+            f"seed block must be {(spec.a1 + 1, spec.a2 + 1)}, got {seed.shape}"
+        )
+    if not np.all(np.isfinite(seed)):
+        raise ValueError("seed block has a non-finite entry")
+    # internal margin lets instances reach across the cropped edge
+    Ni = N + max(spec.a1, spec.a2) + 2
+    known = np.zeros((Ni + 1, Ni + 1), dtype=bool)
+    mu = np.zeros((Ni + 1, Ni + 1), dtype=complex)
+    mu[: spec.a1 + 1, : spec.a2 + 1] = seed
+    known[: spec.a1 + 1, : spec.a2 + 1] = True
+    _solve_frontiers(spec, mu, known, residual_tol)
 
     if not np.all(known[: N + 1, : N + 1]):
         holes = np.argwhere(~known[: N + 1, : N + 1])
         raise SingularFrontier(f"entries never determined: {holes[:5].tolist()} ...")
     prov = np.full((N + 1, N + 1), PROV_RECURRENCE, dtype=np.int8)
     prov[: spec.a1 + 1, : spec.a2 + 1] = PROV_INPUT
-    return BimomentTable(mu[: N + 1, : N + 1], prov)
+    table = BimomentTable(mu[: N + 1, : N + 1], prov)
+    # each antidiagonal met its own bound; refuse growth across them
+    growth = recurrence_residual(spec, table)
+    if growth > residual_tol:
+        raise InconsistentSeed(growth, residual_tol)
+    return table
 
 
 # --- reductions ---------------------------------------------------------

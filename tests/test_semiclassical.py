@@ -139,6 +139,29 @@ def test_propagate_seed_shape_checked():
         propagate_moments(quartic_pair(), np.zeros((2, 2)), 5)
 
 
+@pytest.mark.parametrize("N", [-1, -7])
+def test_propagate_rejects_negative_order(N):
+    with pytest.raises(ValueError, match="table order must be >= 0"):
+        propagate_moments(quartic_pair(), np.zeros((3, 3)), N)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, -np.inf)])
+def test_propagate_rejects_nonfinite_seed(bad):
+    """Refused before any arithmetic: a RuntimeWarning (an error under
+    pytest.ini) or BimomentTable's non-finite check would come later."""
+    seed = np.ones((3, 3), dtype=complex)
+    seed[1, 2] = bad
+    with pytest.raises(ValueError, match="seed block has a non-finite entry"):
+        propagate_moments(quartic_pair(), seed, 6)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-8])
+def test_propagate_rejects_residual_tol(tol):
+    """NaN would turn every consistency check off (resid > nan is False)."""
+    with pytest.raises(ValueError, match="residual_tol must be positive and finite"):
+        propagate_moments(quartic_pair(), np.ones((3, 3)), 6, residual_tol=tol)
+
+
 def test_propagated_table_satisfies_recurrences():
     spec = quartic_pair()
     rng = np.random.default_rng(5)
