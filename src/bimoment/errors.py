@@ -68,13 +68,14 @@ class MultipleSharedRoots(BimomentError):
 
 class InconsistentSeed(BimomentError):
     """Moment propagation found the overdetermined system incompatible with
-    the supplied seed block: one antidiagonal's least-squares residual, or
-    the error grown across antidiagonals that each met their own bound
-    (the finished table's recurrence_residual), exceeds the tolerance."""
+    the supplied seed block: one antidiagonal's least-squares residual
+    ("frontier residual"), or the error grown across antidiagonals that
+    each met their own bound ("table recurrence residual", the finished
+    table's recurrence_residual), exceeds the tolerance."""
 
-    def __init__(self, residual, tol):
+    def __init__(self, residual, tol, source):
         self.residual = residual
-        super().__init__(f"seed not extendable: frontier residual {residual:.3e} > {tol:.3e}")
+        super().__init__(f"seed not extendable: {source} {residual:.3e} > {tol:.3e}")
 
 
 class SingularFrontier(BimomentError):

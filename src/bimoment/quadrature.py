@@ -14,8 +14,11 @@ panel counts.
 
 Double integrals over product contours use a product rule: each contour
 gets one converged Kronrod mesh, adapted against the other contour's
-fixed rule, and a bimoment table or a value of the generating function
-is the bilinear form of the two meshes with the kernel e^(rho x y).
+fixed rule (y alone, x against y, then y against x), and a bimoment table
+or a value of the generating function is the bilinear form of the two
+meshes with the kernel e^(rho x y). That product also judges x against
+the final y rule by the engine's own acceptance; only a failed check
+re-adapts x, then y.
 """
 from __future__ import annotations
 
@@ -290,6 +293,14 @@ def _eval_pass(spec: WeightSpec, qpieces: list, piece: np.ndarray, t0: np.ndarra
             x.reshape(-1, 15), wdx.reshape(-1, 15))
 
 
+def _targets(total: np.ndarray, totabs: np.ndarray, rtol: float, atol: float = 0.0):
+    """(tol, target) per component: tol = max(atol, rtol (1 + |total|)), and
+    a summed |Kronrod - Gauss| is accepted up to target, which is floored at
+    machine eps times the summed |panel values| totabs cancelled on the path."""
+    tol = np.maximum(atol, rtol * (1.0 + np.abs(total)))
+    return tol, np.maximum(0.25 * tol, 5e-15 * totabs)
+
+
 # refinement has stalled after this many rounds in a row in which the halves
 # kept at least half of their parents' error on the worst unmet component
 _STALL_ROUNDS = 3
@@ -332,10 +343,7 @@ def integrate_contour(contour: Contour, spec: WeightSpec, gfun, ncomp: int,
         total = vals.sum(axis=0)
         toterr = errs.sum(axis=0)
         totabs = np.abs(vals).sum(axis=0)
-        tol = np.maximum(atol, rtol * (1.0 + np.abs(total)))
-        # roundoff floor: the error estimate cannot drop below machine eps
-        # times the mass being cancelled along the path
-        denom = np.maximum(0.25 * tol, 5e-15 * totabs)
+        tol, denom = _targets(total, totabs, rtol, atol)
         bad = toterr > denom
         if not bad.any():
             break
@@ -530,13 +538,16 @@ def _coupled_mesh(contour: Contour, spec: WeightSpec, cols, other: _Mesh,
 
 
 def _product_meshes(handle: FunctionalHandle, fx, fy, rtol: Optional[float]):
-    """Converged meshes (mx, my) of the handle's contours for the double
-    integrals of fx(x)_a fy(y)_b e^(rho x y) against W1(x) W2(y), with
-    column functions fx, fy as in _coupled_mesh.
+    """(mx, my, (F, err, mass)): converged meshes of the handle's contours
+    for the double integrals of fx(x)_a fy(y)_b e^(rho x y) against
+    W1(x) W2(y), with column functions fx, fy as in _coupled_mesh, and
+    their product rule (_product_rule).
 
-    The meshes alternate: a provisional y mesh for fy alone, x adapted
-    against the fixed y rule, y against the fixed x rule, for at most two
-    sweeps, stopping early once a re-adapted mesh repeats.
+    A provisional y mesh for fy alone, then x against that fixed y rule.
+    Each of at most two sweeps adapts y against the fixed x rule and forms
+    the product rule, which also judges x against this final y rule by
+    integrate_contour's own acceptance. Only a failed check, with a y mesh
+    that did not repeat, re-adapts x; a repeated x mesh ends the loop too.
     """
     if rtol is None:
         rtol = default_tolerance()
@@ -546,25 +557,28 @@ def _product_meshes(handle: FunctionalHandle, fx, fy, rtol: Optional[float]):
     rho = handle.rho
     my = _adapt_mesh(handle.cy, handle.wy, lambda y: fy(y).T,
                      fy(np.zeros(1)).shape[1], rtol)
-    mx = None
-    for _ in range(2):
-        new_x = _coupled_mesh(handle.cx, handle.wx, fx, my, fy, rho, rtol)
-        if mx is not None and np.array_equal(new_x.x, mx.x):
-            break
-        mx = new_x
+    mx = _coupled_mesh(handle.cx, handle.wx, fx, my, fy, rho, rtol)
+    for sweep in range(2):
         new_y = _coupled_mesh(handle.cy, handle.wy, fy, mx, fx, rho, rtol)
-        if np.array_equal(new_y.x, my.x):
-            break
-        my = new_y
-    return mx, my
+        y_repeats = np.array_equal(new_y.x, my.x)
+        my = my if y_repeats else new_y
+        product, (total, err, mass) = _product_rule(mx, my, rho, fx(mx.x), fy(my.x))
+        if y_repeats or sweep == 1 or np.all(err <= _targets(total, mass, rtol)[1]):
+            return mx, my, product
+        new_x = _coupled_mesh(handle.cx, handle.wx, fx, my, fy, rho, rtol)
+        if np.array_equal(new_x.x, mx.x):
+            return mx, my, product
+        mx = new_x
 
 
 def _product_rule(mx: _Mesh, my: _Mesh, rho: float, Px: np.ndarray, Py: np.ndarray):
     """The bilinear form F = Xᵀ exp(rho x yᵀ) Y with X[k, a] = wk_k Px[k, a]
     and Y[l, b] = wk_l Py[l, b], for column values Px, Py at the nodes of
-    mx, my. Returns (F, err, mass): err is |F_KK - F_GK| + |F_KK - F_KG|
-    (Kronrod minus Gauss on each factor) and mass the summed |terms| of
-    each entry, for a roundoff floor."""
+    mx, my. Returns ((F, err, mass), xsums): err is |F_KK - F_GK| +
+    |F_KK - F_KG| (Kronrod minus Gauss on each factor), mass the summed
+    |terms| of each entry, for a roundoff floor, and xsums the engine's
+    sums (total, error, |panel values|) over the 15-node panels of mx for
+    the x integrals of Px_a (exp(rho x yᵀ) Y)_b against the y rule."""
     na, nb = Px.shape[1], Py.shape[1]
     # Kronrod rule and Kronrod-minus-Gauss side by side
     X = np.hstack([mx.wk[:, None] * Px, (mx.wk - mx.wg)[:, None] * Px])
@@ -573,7 +587,10 @@ def _product_rule(mx: _Mesh, my: _Mesh, rho: float, Px: np.ndarray, Py: np.ndarr
     acc = X.T @ KY
     F = acc[:na, :nb].copy()
     err = np.abs(acc[na:, :nb]) + np.abs(acc[:na, nb:])
-    return F, err, np.abs(X[:, :na]).T @ absKY
+    kron, diff = np.split(X.reshape(-1, 15, 2 * na).swapaxes(1, 2)
+                          @ KY[:, :nb].reshape(-1, 15, nb), 2, axis=1)
+    return ((F, err, np.abs(X[:, :na]).T @ absKY),
+            (kron.sum(axis=0), np.abs(diff).sum(axis=0), np.abs(kron).sum(axis=0)))
 
 
 def bimoment_table(handle: FunctionalHandle, N: int,
@@ -582,8 +599,8 @@ def bimoment_table(handle: FunctionalHandle, N: int,
     n, m = 0..N.
 
     Returns (BimomentTable, per-entry error array). Each contour gets one
-    converged Kronrod mesh (see _product_meshes) and the table is their
-    bilinear form with the kernel in the monomial columns. The error is
+    converged Kronrod mesh and the table is their bilinear form with the
+    kernel in the monomial columns (see _product_meshes). The error is
     Kronrod minus Gauss on both factors, floored at the roundoff
     2e-16 (n + m + 2) times the summed |terms|: a term carries the n + m
     roundings of its powers, and the exponents of the nodes that weigh
@@ -595,8 +612,7 @@ def bimoment_table(handle: FunctionalHandle, N: int,
     def powers(x):
         return np.vander(x, N + 1, increasing=True)
 
-    mx, my = _product_meshes(handle, powers, powers, rtol)
-    mu, err, mass = _product_rule(mx, my, handle.rho, powers(mx.x), powers(my.x))
+    _, _, (mu, err, mass) = _product_meshes(handle, powers, powers, rtol)
     ulps = 2e-16 * (np.add.outer(np.arange(N + 1), np.arange(N + 1)) + 2)
     table = BimomentTable(mu, np.full((N + 1, N + 1), PROV_QUADRATURE, dtype=np.int8))
     return table, np.maximum(err, ulps * mass)
@@ -613,8 +629,7 @@ def generating_eval(handle: FunctionalHandle, z: complex, w: complex,
     def fy(y):
         return np.exp(w * y)[:, None]
 
-    mx, my = _product_meshes(handle, fx, fy, rtol)
-    F, _, _ = _product_rule(mx, my, handle.rho, fx(mx.x), fy(my.x))
+    _, _, (F, _, _) = _product_meshes(handle, fx, fy, rtol)
     return complex(F[0, 0])
 
 

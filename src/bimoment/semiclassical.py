@@ -292,7 +292,7 @@ def _solve_frontiers(spec: SemiclassicalSpec, mu, known, residual_tol: float):
         scale = max(1.0, float(np.max(np.abs(b))), float(np.max(np.abs(x))))
         resid = float(np.max(np.abs(A @ x - b)))
         if resid > residual_tol * scale:
-            raise InconsistentSeed(resid / scale, residual_tol)
+            raise InconsistentSeed(resid / scale, residual_tol, "frontier residual")
         mu_flat[ids] = x
         known_flat[ids] = True
 
@@ -345,7 +345,7 @@ def propagate_moments(spec: SemiclassicalSpec, seed, N: int,
     # each antidiagonal met its own bound; refuse growth across them
     growth = recurrence_residual(spec, table)
     if growth > residual_tol:
-        raise InconsistentSeed(growth, residual_tol)
+        raise InconsistentSeed(growth, residual_tol, "table recurrence residual")
     return table
 
 

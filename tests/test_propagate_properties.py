@@ -153,8 +153,20 @@ def test_interior_zero_b_refuses_growth_at_order_40(c):
                          CPoly([c[0], c[1], 0, 1]), CPoly([1]))
     rng = np.random.default_rng(40)
     seed = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    with pytest.raises(InconsistentSeed):
+    with pytest.raises(InconsistentSeed, match="table recurrence residual") as refused:
         propagate_moments(spec, seed, 40)
+    assert refused.value.residual > 1e-8
+
+
+def test_frontier_refusal_names_the_frontier():
+    """A residual_tol below roundoff refuses the first antidiagonal's
+    least-squares solve, before any finished table exists to check."""
+    spec = workload_spec(3, (0.3, -0.2))
+    rng = np.random.default_rng(3)
+    seed = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    with pytest.raises(InconsistentSeed, match="frontier residual") as refused:
+        propagate_moments(spec, seed, 6, residual_tol=1e-30)
+    assert refused.value.residual > 1e-30
 
 
 def test_order_40_call_stays_small():

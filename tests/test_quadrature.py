@@ -215,11 +215,9 @@ def test_gaussian_table_within_stated_error(gauss_setup, rtol):
     assert np.all(np.abs(table.entries - want) <= err)
 
 
-def test_quartic_tables_panel_budget(monkeypatch):
-    """All 9 quartic tables at N=8 once took 390 integrations, 17,600 panel
-    evaluations and 780 ray truncations as nested adaptive quadrature. The
-    product rule's counts are pinned exactly: evaluating a round's panels
-    on stacked nodes must not move any of them."""
+def _count_calls(monkeypatch, names):
+    """Replace each named quadrature function by a counting wrapper; returns
+    the dict of counts, updated as the wrappers run."""
     from bimoment import quadrature
 
     calls = {}
@@ -234,12 +232,80 @@ def test_quartic_tables_panel_budget(monkeypatch):
 
         monkeypatch.setattr(quadrature, name, counted)
 
-    for name in ("integrate_contour", "_panel_eval", "_truncate_ray"):
+    for name in names:
         count(name)
+    return calls
+
+
+def test_quartic_tables_panel_budget(monkeypatch):
+    """All 9 quartic tables at N=8 once took 390 integrations, 17,600 panel
+    evaluations and 780 ray truncations as nested adaptive quadrature. The
+    product rule's counts are pinned exactly: 27, 987 and 54 since the
+    product rule checks x against the final y rule instead of re-adapting
+    x to confirm it (36, 1,314 and 72 before)."""
+    calls = _count_calls(monkeypatch, ("integrate_contour", "_panel_eval", "_truncate_ray"))
     spec = validate_spec(CPoly([0, 0, 0, 1]), ONE, CPoly([0, 0, 0, 1]), ONE)
     for h in make_setup(spec).handles:
         bimoment_table(h, 8)
-    assert calls == {"integrate_contour": 36, "_panel_eval": 1314, "_truncate_ray": 72}
+    assert calls == {"integrate_contour": 27, "_panel_eval": 987, "_truncate_ray": 54}
+
+
+def test_quartic_tables_take_three_mesh_adaptations(monkeypatch, quartic_setup):
+    """y alone, x against y, y against x: the product rule accepts x
+    against the final y rule, so no quartic table re-adapts x."""
+    _, setup = quartic_setup
+    calls = _count_calls(monkeypatch, ("_adapt_mesh", "_product_rule"))
+    for h in setup.handles:
+        bimoment_table(h, 8)
+        assert calls == {"_adapt_mesh": 3, "_product_rule": 1}
+        calls.update(_adapt_mesh=0, _product_rule=0)
+
+
+def test_failed_product_check_re_adapts(monkeypatch):
+    """The a = 1.6 pole loop's y mesh is accepted at a stall, and x fails
+    the check against it: x and then y are adapted again (5 runs) and the
+    product rule is formed once more over the new meshes."""
+    h = _pole_loop_handle(1.6)
+    calls = _count_calls(monkeypatch, ("_adapt_mesh", "_product_rule"))
+    bimoment_table(h, 4)
+    assert calls == {"_adapt_mesh": 5, "_product_rule": 2}
+
+
+@pytest.mark.parametrize("a, N", [(None, 8), (1.25, 6)])
+def test_product_check_agrees_with_the_engine(monkeypatch, quartic_setup, a, N):
+    """Handle (0,0) of the quartic (a None) or of the pole loop: adapting x
+    from scratch against the returned y rule reproduces the x mesh, and its
+    values and errors are the product rule's panel sums. Both sum the same
+    panels in another order, so they agree to roundoff of the summed
+    |panel values| (about 2e-16 of it): Kronrod minus Gauss cancels most
+    digits, and the errors differ by up to 2e-4 of themselves."""
+    from bimoment import quadrature
+
+    h = quartic_setup[1].handle(0, 0) if a is None else _pole_loop_handle(a)
+
+    def powers(x):
+        return np.vander(x, N + 1, increasing=True)
+
+    rtol = quadrature.default_tolerance()
+    mx, my, _ = quadrature._product_meshes(h, powers, powers, rtol)
+    _, (total, err, mass) = quadrature._product_rule(mx, my, h.rho, powers(mx.x),
+                                                     powers(my.x))
+    assert np.all(err <= quadrature._targets(total, mass, rtol)[1])
+    results = []
+    engine = quadrature.integrate_contour
+
+    def recorded(*args, **kwargs):
+        results.append(engine(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(quadrature, "integrate_contour", recorded)
+    again = quadrature._coupled_mesh(h.cx, h.wx, powers, my, powers, h.rho, rtol)
+    (vals, errs), = results
+    for name in ("x", "wk", "wg"):
+        assert np.array_equal(getattr(again, name), getattr(mx, name))
+    roundoff = 2e-15 * mass.ravel()
+    assert np.all(np.abs(vals - total.ravel()) <= roundoff)
+    assert np.all(np.abs(errs - err.ravel()) <= roundoff)
 
 
 def test_negative_order_rejected(gauss_setup):
@@ -794,9 +860,9 @@ def _gaussian_generating_call():
     return lambda: generating_eval(h, 0.3, -0.2), h
 
 
-def _gaussian_table_call():
+def _gaussian_table_call(N=8):
     h = make_setup(validate_spec(CPoly([0, 2]), ONE, CPoly([0, 2]), ONE)).handle(0, 0)
-    return lambda: h.table(8), h
+    return lambda: h.table(N), h
 
 
 def _pole_loop_table_call():
@@ -804,17 +870,23 @@ def _pole_loop_table_call():
     return lambda: h.table(8), h
 
 
+def _gaussian_table12_call():
+    return _gaussian_table_call(12)
+
+
 @pytest.mark.parametrize("call, bound_mb", [
     (_gaussian_generating_call, 0.5),
     (_gaussian_table_call, 2.0),
     (_pole_loop_table_call, 2.0),
+    (_gaussian_table12_call, 2.5),
 ])
 def test_stacked_passes_keep_memory_flat(call, bound_mb):
-    """Peak traced allocation of one warm call: about 0.3, 1.4 and 1.3 MB.
-    Forming the coupled kernel exp(rho u vᵀ) whole instead of in blocks of
-    _KERNEL_ROWS rows raises them to about 2.4, 15 and 11 MB. (The gfun
-    value cap is checked by call size above: these calls stack too few
-    panels per pass to reach it.)"""
+    """Peak traced allocation of one warm call: about 0.3, 1.4, 1.3 and
+    1.9 MB. Forming the coupled kernel exp(rho u vᵀ) whole instead of in
+    blocks of _KERNEL_ROWS rows raises the first three to about 2.4, 15
+    and 11 MB; kept whole for the product rule, the Gaussian kernel at
+    N=12 alone is about 7 MB. (The gfun value cap is checked by call size
+    above: these calls stack too few panels per pass to reach it.)"""
     import tracemalloc
 
     run, handle = call()
