@@ -23,7 +23,7 @@ from .quadrature import (
     make_setup,
 )
 from .semiclassical import recurrence_residual, spec_from_json_dict
-from .weights import contour_to_json_dict, normalize_potential
+from .weights import contour_to_json_dict
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -37,8 +37,8 @@ _EXITS = (
     (errors.DivergentCoupling, EXIT_DIVERGENT, "divergent coupling: {exc}"),
     ((errors.QuadratureStall, errors.DivergentTail), EXIT_NUMERICS,
      "quadrature failure: {name}: {exc}"),
-    ((errors.AssumptionBViolated, errors.ZeroGamma), EXIT_VALIDATION,
-     "validation failed: {exc}"),
+    ((errors.AssumptionAViolated, errors.AssumptionBViolated, errors.DegenerateQuadratic,
+      errors.ZeroGamma), EXIT_VALIDATION, "validation failed: {name}: {exc}"),
 )
 
 
@@ -65,10 +65,6 @@ def _load_spec(path: str):
         return spec_from_json_dict(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise _Refused(EXIT_PARSE, f"error: malformed spec file: {exc}")
-    except (errors.AssumptionAViolated, errors.AssumptionBViolated,
-            errors.DegenerateQuadratic) as exc:
-        raise _Refused(EXIT_VALIDATION,
-                       f"validation failed: {type(exc).__name__}: {exc}")
 
 
 def _fmt(x: float) -> str:
@@ -101,9 +97,9 @@ def cmd_moments(args) -> int:
         raise _Refused(EXIT_PARSE,
                        f"error: --contour-x {args.contour_x} --contour-y {args.contour_y} "
                        f"outside 1..{len(setup.contours_x)} x 1..{len(setup.contours_y)}")
-    table, err = handle.table_with_errors(args.order)
+    table = handle.table(args.order)
     resid = recurrence_residual(spec, table)
-    _write(args.out, table.to_csv(err=err, comment=f"recurrence_residual = {_fmt(resid)}"))
+    _write(args.out, table.to_csv(comment=f"recurrence_residual = {_fmt(resid)}"))
     return EXIT_OK
 
 
@@ -123,8 +119,11 @@ def cmd_certify(args) -> int:
     if entries < len(handles):
         raise _Refused(EXIT_PARSE, f"error: --order {args.order}: (N+1)^2 = {entries} "
                                    f"is less than the {len(handles)} functionals")
-    report = independence_certificate(handles, args.order)
-    residuals = [recurrence_residual(spec, h.table(args.order)) for h in handles]
+    tables = [h.table(args.order) for h in setup.handles]
+    if k is not None:
+        tables.append(tables[k])
+    report = independence_certificate(tables)
+    residuals = [recurrence_residual(spec, t) for t in tables]
     print(f"rank {report.rank}/{report.expected}")
     print(f"sigma_min/sigma_max = {_fmt(report.sv_ratio)}")
     for h, r in zip(handles, residuals):
@@ -132,9 +131,8 @@ def cmd_certify(args) -> int:
     ok = report.passed and all(r <= args.residual_tol for r in residuals)
     if not args.skip_asymptotics and setup.wx.d >= 1:
         try:
-            wn, _ = normalize_potential(setup.wx)
-            zs = [m * np.exp(-1j * np.pi / (4 * (wn.d + 1))) for m in (20.0, 30.0, 40.0)]
-            rep = asymptotic_check(wn, 0, zs)
+            zs = [m * np.exp(-1j * np.pi / (4 * (setup.wx.d + 1))) for m in (20.0, 30.0, 40.0)]
+            rep = asymptotic_check(setup.wx, 0, zs)
             print(f"asymptotics k=0: ratios "
                   + " ".join(_fmt(r) for r in rep.ratios)
                   + f" slope {_fmt(rep.slope)}")

@@ -18,14 +18,16 @@ fixed rule (y alone, x against y, then y against x), and a bimoment table
 or a value of the generating function is the bilinear form of the two
 meshes with the kernel e^(rho x y). That product also judges x against
 the final y rule by the engine's own acceptance; only a failed check
-re-adapts x, then y.
+re-adapts x, then y. A table comes back as one BimomentTable that
+carries its per-entry errors; a FunctionalHandle is plain data and keeps
+no table.
 """
 from __future__ import annotations
 
 import cmath
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -423,7 +425,8 @@ def laplace_many(contour: Contour, spec: WeightSpec, zs: np.ndarray,
 @dataclass
 class FunctionalHandle:
     """One fundamental functional: a pair of marginal weights and one
-    contour on each sphere, coupled through e^(rho * x * y)."""
+    contour on each sphere, coupled through e^(rho * x * y). Plain data:
+    derive variants with dataclasses.replace; table() is bimoment_table."""
 
     wx: WeightSpec
     wy: WeightSpec
@@ -432,20 +435,9 @@ class FunctionalHandle:
     i: int = 0
     j: int = 0
     rho: float = 1.0
-    _cache: dict = field(default_factory=dict)
-
-    def table_with_errors(self, N: int, rtol: Optional[float] = None):
-        """(BimomentTable, per-entry errors), computed once per (N, rtol, rho)."""
-        key = (N, rtol, self.rho)
-        if key not in self._cache:
-            self._cache[key] = bimoment_table(self, N, rtol=rtol)
-        return self._cache[key]
 
     def table(self, N: int, rtol: Optional[float] = None) -> BimomentTable:
-        return self.table_with_errors(N, rtol)[0]
-
-    def table_errors(self, N: int, rtol: Optional[float] = None) -> np.ndarray:
-        return self.table_with_errors(N, rtol)[1]
+        return bimoment_table(self, N, rtol)
 
 
 def _gaussian_coupling_guard(handle: FunctionalHandle):
@@ -548,6 +540,7 @@ def _product_meshes(handle: FunctionalHandle, fx, fy, rtol: Optional[float]):
     the product rule, which also judges x against this final y rule by
     integrate_contour's own acceptance. Only a failed check, with a y mesh
     that did not repeat, re-adapts x; a repeated x mesh ends the loop too.
+    A return with x failing its check floors err at that check's x error.
     """
     if rtol is None:
         rtol = default_tolerance()
@@ -562,8 +555,10 @@ def _product_meshes(handle: FunctionalHandle, fx, fy, rtol: Optional[float]):
         new_y = _coupled_mesh(handle.cy, handle.wy, fy, mx, fx, rho, rtol)
         y_repeats = np.array_equal(new_y.x, my.x)
         my = my if y_repeats else new_y
-        product, (total, err, mass) = _product_rule(mx, my, rho, fx(mx.x), fy(my.x))
-        if y_repeats or sweep == 1 or np.all(err <= _targets(total, mass, rtol)[1]):
+        (F, err, mass), (total, xerr, xmass) = _product_rule(mx, my, rho, fx(mx.x), fy(my.x))
+        x_passed = np.all(xerr <= _targets(total, xmass, rtol)[1])
+        product = (F, err if x_passed else np.maximum(err, xerr), mass)
+        if y_repeats or sweep == 1 or x_passed:
             return mx, my, product
         new_x = _coupled_mesh(handle.cx, handle.wx, fx, my, fy, rho, rtol)
         if np.array_equal(new_x.x, mx.x):
@@ -598,10 +593,10 @@ def bimoment_table(handle: FunctionalHandle, N: int,
     """mu[n, m] = int_Gx int_Gy W1(x) W2(y) x^n y^m e^(rho x y) dy dx for
     n, m = 0..N.
 
-    Returns (BimomentTable, per-entry error array). Each contour gets one
-    converged Kronrod mesh and the table is their bilinear form with the
-    kernel in the monomial columns (see _product_meshes). The error is
-    Kronrod minus Gauss on both factors, floored at the roundoff
+    Returns one BimomentTable whose err holds the per-entry errors. Each
+    contour gets one converged Kronrod mesh and the table is their bilinear
+    form with the kernel in the monomial columns (see _product_meshes). The
+    error is Kronrod minus Gauss on both factors, floored at the roundoff
     2e-16 (n + m + 2) times the summed |terms|: a term carries the n + m
     roundings of its powers, and the exponents of the nodes that weigh
     x^n y^m grow with n + m.
@@ -614,8 +609,8 @@ def bimoment_table(handle: FunctionalHandle, N: int,
 
     _, _, (mu, err, mass) = _product_meshes(handle, powers, powers, rtol)
     ulps = 2e-16 * (np.add.outer(np.arange(N + 1), np.arange(N + 1)) + 2)
-    table = BimomentTable(mu, np.full((N + 1, N + 1), PROV_QUADRATURE, dtype=np.int8))
-    return table, np.maximum(err, ulps * mass)
+    return BimomentTable(mu, np.full((N + 1, N + 1), PROV_QUADRATURE, dtype=np.int8),
+                         np.maximum(err, ulps * mass))
 
 
 def generating_eval(handle: FunctionalHandle, z: complex, w: complex,
@@ -637,21 +632,19 @@ def rho_factorization_check(handle: FunctionalHandle,
                             grid=(-0.25, 0.0, 0.25),
                             rtol: Optional[float] = None) -> float:
     """Decoupling check at rho = 0: the double integral with unit kernel,
-    evaluated by generating_eval on product-rule meshes, must factor into
+    evaluated over the (z, w) grid by one product rule, must factor into
     Xi(z) * Psi(w) from independent single-contour runs (one laplace_many
     over the grid per contour). Returns the max relative discrepancy over
-    the (z, w) grid."""
-    zero = FunctionalHandle(wx=handle.wx, wy=handle.wy, cx=handle.cx,
-                            cy=handle.cy, i=handle.i, j=handle.j, rho=0.0)
+    the grid."""
     xi = laplace_many(handle.cx, handle.wx, grid, 0, rtol=rtol)[0][0]
     psi = laplace_many(handle.cy, handle.wy, grid, 0, rtol=rtol)[0][0]
-    worst = 0.0
-    for z, xi_z in zip(grid, xi):
-        for w, psi_w in zip(grid, psi):
-            fac = xi_z * psi_w
-            it = generating_eval(zero, z, w, rtol=rtol)
-            worst = max(worst, abs(it - fac) / max(1.0, abs(fac)))
-    return worst
+
+    def cols(u):
+        return np.exp(np.multiply.outer(u, grid))
+
+    _, _, (F, _, _) = _product_meshes(replace(handle, rho=0.0), cols, cols, rtol)
+    fac = np.multiply.outer(xi, psi)
+    return float(np.max(np.abs(F - fac) / np.maximum(1.0, np.abs(fac))))
 
 
 def rho_sweep(handle: FunctionalHandle, rhos, z: complex = 0.2, w: complex = -0.1,
@@ -662,8 +655,7 @@ def rho_sweep(handle: FunctionalHandle, rhos, z: complex = 0.2, w: complex = -0.
     psi = laplace(handle.cy, handle.wy, w, 0, rtol=rtol)
     out = []
     for r in rhos:
-        h = FunctionalHandle(wx=handle.wx, wy=handle.wy, cx=handle.cx,
-                             cy=handle.cy, rho=float(r))
+        h = replace(handle, rho=float(r))
         out.append(abs(generating_eval(h, z, w, rtol=rtol) - xi * psi))
     return out
 
@@ -682,25 +674,25 @@ class IndependenceReport:
         return self.rank == self.expected
 
 
-def independence_certificate(handles: list, N: int,
-                             rank_rel_tol: float = 1e-8,
-                             rtol: Optional[float] = None) -> IndependenceReport:
-    """Numerical rank of the stacked, row-normalized bimoment tables.
+def independence_certificate(tables: list,
+                             rank_rel_tol: float = 1e-8) -> IndependenceReport:
+    """Numerical rank of the stacked, row-normalized bimoment tables, one
+    of order N per functional.
 
-    The handles span the solution space of the moment recurrences; full
-    rank len(handles) realizes their linear independence.
+    The functionals span the solution space of the moment recurrences; full
+    rank len(tables) realizes their linear independence.
     """
-    if (N + 1) ** 2 < len(handles):
-        raise ValueError("(N+1)^2 must be at least the number of handles")
+    if tables[0].entries.size < len(tables):
+        raise ValueError("(N+1)^2 must be at least the number of tables")
     rows = []
-    for h in handles:
-        v = h.table(N, rtol=rtol).entries.ravel()
+    for t in tables:
+        v = t.entries.ravel()
         nrm = np.linalg.norm(v)
         rows.append(v / (nrm if nrm > 0 else 1.0))
     A = np.array(rows)
     sv = np.linalg.svd(A, compute_uv=False)
     rank = int(np.sum(sv > rank_rel_tol * sv[0]))
-    return IndependenceReport(rank=rank, expected=len(handles),
+    return IndependenceReport(rank=rank, expected=len(tables),
                               sv_ratio=float(sv[-1] / sv[0]), singular_values=sv)
 
 
@@ -735,12 +727,12 @@ def predicted_leading(spec: WeightSpec, z: complex, k: int) -> complex:
     return cmath.sqrt(2 * math.pi / Spp) * cmath.exp(log_w + xk * z)
 
 
-def asymptotic_check(spec: WeightSpec, k: int, zs, rtol: Optional[float] = None,
-                     auto_normalize: bool = True) -> AsymptoticReport:
-    """Quadrature over traced steepest-descent contours against the
-    predicted leading term, along increasing |z| inside the dual sector."""
-    if auto_normalize:
-        spec, _ = normalize_potential(spec)
+def asymptotic_check(spec: WeightSpec, k: int, zs,
+                     rtol: Optional[float] = None) -> AsymptoticReport:
+    """Quadrature over traced steepest-descent contours of the normalized
+    spec (normalize_potential) against the predicted leading term, along
+    increasing |z| inside the dual sector."""
+    spec, _ = normalize_potential(spec)
     ratios, phases = [], []
     # the essential factor exp(sum E_j) tends to 1 in this canonical
     # normalization; it counts as settled when the principal parts are

@@ -39,10 +39,12 @@ def complex_from_pair(v) -> complex:
 
 @dataclass
 class BimomentTable:
-    """Dense (N+1) x (N+1) complex table of bimoments with provenance."""
+    """Dense (N+1) x (N+1) complex table of bimoments with provenance, and
+    the per-entry error estimates err when it has them (else None)."""
 
     entries: np.ndarray
     provenance: np.ndarray = None
+    err: np.ndarray = None
 
     def __post_init__(self):
         self.entries = np.asarray(self.entries, dtype=complex)
@@ -54,6 +56,10 @@ class BimomentTable:
             self.provenance = np.full(self.entries.shape, PROV_INPUT, dtype=np.int8)
         else:
             self.provenance = np.asarray(self.provenance, dtype=np.int8)
+        if self.err is not None:
+            self.err = np.asarray(self.err, dtype=float)
+            if self.err.shape != self.entries.shape or not np.all(self.err >= 0):
+                raise ValueError("bimoment table errors must be one >= 0 per entry")
 
     @property
     def size(self) -> int:
@@ -68,19 +74,19 @@ class BimomentTable:
     def identity(N: int) -> "BimomentTable":
         return BimomentTable(np.eye(N + 1, dtype=complex))
 
-    def to_csv(self, err=None, comment: str = None) -> str:
+    def to_csv(self, comment: str = None) -> str:
         """Serialize as n,m,re,im rows at 17 significant digits, with an err
-        column when per-entry errors are given and a leading '# comment'
-        line when a comment is given."""
+        column when the table has errors and a leading '# comment' line when
+        a comment is given."""
         buf = io.StringIO()
         if comment is not None:
             buf.write(f"# {comment}\n")
-        buf.write("n,m,re,im\n" if err is None else "n,m,re,im,err\n")
+        buf.write("n,m,re,im\n" if self.err is None else "n,m,re,im,err\n")
         for n in range(self.size + 1):
             for m in range(self.size + 1):
                 v = self.entries[n, m]
                 buf.write(f"{n},{m},{v.real:.17g},{v.imag:.17g}")
-                buf.write("\n" if err is None else f",{err[n, m]:.17g}\n")
+                buf.write("\n" if self.err is None else f",{self.err[n, m]:.17g}\n")
         return buf.getvalue()
 
     @staticmethod

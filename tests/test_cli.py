@@ -40,6 +40,18 @@ def test_validate_degenerate_exit_3(tmp_path, capsys):
     assert "DegenerateQuadratic" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["moments", "certify"])
+def test_reducible_spec_exit_3(tmp_path, capsys, command):
+    """A1 = x^2 - x and B1 = x - 1 share the root 1: validate accepts the
+    spec, and the commands that build contours refuse it."""
+    spec = write_spec(tmp_path, "red.json", [0, -1, 1], [-1, 1], [0, 2], [1])
+    assert main(["validate", spec]) == 0
+    assert main([command, spec]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "validation failed: AssumptionBViolated: pair shares a factor: "
+        "reduce_common_factor / delta_solutions apply"]
+
+
 def test_validate_malformed_json_exit_2(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -165,6 +177,24 @@ def test_certify_duplicate_forces_failure(quartic_spec, capsys):
     assert "rank 9/10" in capsys.readouterr().out
 
 
+def test_certify_builds_each_table_once(quartic_spec, monkeypatch, capsys):
+    """The repeated functional reuses its table: 9 builds for 10 rows."""
+    from bimoment import quadrature
+
+    build = quadrature.bimoment_table
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "bimoment_table", counted)
+    rc = main(["certify", quartic_spec, "--order", "4", "--repeat-functional", "0"])
+    assert rc == 5
+    assert "rank 9/10" in capsys.readouterr().out
+    assert len(calls) == 9
+
+
 def test_certify_repeat_functional_out_of_range_exit_2(gaussian_spec, capsys):
     rc = main(["certify", gaussian_spec, "--order", "2", "--skip-asymptotics",
                "--repeat-functional", "5"])
@@ -272,7 +302,7 @@ def test_favard_identity(tmp_path, capsys):
     assert rows[(2, 1)] == 0.0
 
 
-def test_favard_zero_gamma_exit_3(tmp_path):
+def test_favard_zero_gamma_exit_3(tmp_path, capsys):
     rec = {
         "gamma": [[0.0, 0.0], [1.0, 0.0]],
         "gamma_t": [[1.0, 0.0]] * 2,
@@ -284,6 +314,8 @@ def test_favard_zero_gamma_exit_3(tmp_path):
     path = tmp_path / "rec0.json"
     path.write_text(json.dumps(rec))
     assert main(["favard", str(path), "--order", "2", "--out", "-"]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "validation failed: ZeroGamma: gamma[0] vanishes; reconstruction hypothesis violated"]
 
 
 def test_favard_order_above_stored_exit_2(tmp_path, capsys):

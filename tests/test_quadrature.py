@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import signal
 from contextlib import contextmanager
@@ -154,10 +155,10 @@ def test_cauchy_deformation_invariance():
 
 def test_gaussian_table_closed_form(gauss_setup):
     spec, setup = gauss_setup
-    table, err = bimoment_table(setup.handle(0, 0), 4)
+    table = bimoment_table(setup.handle(0, 0), 4)
     want = gaussian_bimoments(2.0, 2.0, 4)
     assert np.max(np.abs(table.entries - want)) <= 1e-8 * want[0, 0]
-    assert np.all(err >= 0)
+    assert np.all(table.err >= 0)
 
 
 def test_gaussian_table_parity_zeros(gauss_setup):
@@ -176,32 +177,48 @@ def test_quartic_tables_satisfy_recurrences(quartic_setup):
         assert recurrence_residual(spec, h.table(8)) <= 1e-6
 
 
-def test_table_caching_is_stable(quartic_setup):
-    _, setup = quartic_setup
-    h = setup.handle(1, 2)
-    t1 = h.table(8)
-    t2 = h.table(8)
-    assert t1 is t2
-
-
-def test_table_and_errors_come_from_one_cached_build(quartic_setup):
+def test_table_is_deterministic(quartic_setup):
     _, setup = quartic_setup
     h = setup.handle(2, 0)
-    table, err = h.table_with_errors(4)
-    assert h.table(4) is table
-    assert h.table_errors(4) is err
-    # the cache keeps every table alive: no view into a larger work array
-    assert table.entries.base is None and err.base is None
-    assert table.entries.shape == err.shape == (5, 5)
+    t1, t2 = h.table(4), h.table(4)
+    assert t1 is not t2
+    assert t1.entries.tobytes() == t2.entries.tobytes()
+    assert t1.err.tobytes() == t2.err.tobytes()
+    assert t1.entries.shape == t1.err.shape == (5, 5)
+
+
+def test_handle_keeps_no_table(quartic_setup):
+    """Computing a table changes neither the handle's == nor its repr."""
+    _, setup = quartic_setup
+    h = setup.handle(1, 2)
+    fresh = dataclasses.replace(h)
+    before = repr(h)
+    h.table(3)
+    assert h == fresh
+    assert repr(h) == before
+
+
+def test_table_follows_the_tolerance_env(monkeypatch, gauss_setup):
+    """A table computed under the default tolerance is not handed back
+    after BIMOMENT_TOL changes."""
+    _, setup = gauss_setup
+    h = setup.handle(0, 0)
+    h.table(4)
+    monkeypatch.setenv("BIMOMENT_TOL", "1e-4")
+    fresh = make_setup(validate_spec(CPoly([0, 2]), ONE, CPoly([0, 2]), ONE)).handle(0, 0)
+    want = fresh.table(4)
+    got = h.table(4)
+    assert got.entries.tobytes() == want.entries.tobytes()
+    assert got.err.tobytes() == want.err.tobytes()
 
 
 def test_quartic_tables_match_real_line_closed_form(quartic_setup):
     """The loops of handles (0,0), (0,1), (1,0), (1,1) add up to the real
     line in both variables, where the e^(xy) series gives the moments."""
     _, setup = quartic_setup
-    parts = [setup.handle(i, j).table_with_errors(8) for i in (0, 1) for j in (0, 1)]
-    total = sum(t.entries for t, _ in parts)
-    err = sum(e for _, e in parts)
+    parts = [setup.handle(i, j).table(8) for i in (0, 1) for j in (0, 1)]
+    total = sum(t.entries for t in parts)
+    err = sum(t.err for t in parts)
     want = quartic_realline_bimoments(8)
     assert want[0, 0] == pytest.approx(8.3900359466875, rel=1e-13)
     assert np.all(np.abs(total - want) <= err)
@@ -210,9 +227,9 @@ def test_quartic_tables_match_real_line_closed_form(quartic_setup):
 @pytest.mark.parametrize("rtol", [1e-8, 1e-10, 1e-12])
 def test_gaussian_table_within_stated_error(gauss_setup, rtol):
     _, setup = gauss_setup
-    table, err = bimoment_table(setup.handle(0, 0), 8, rtol=rtol)
+    table = bimoment_table(setup.handle(0, 0), 8, rtol=rtol)
     want = gaussian_bimoments(2.0, 2.0, 8)
-    assert np.all(np.abs(table.entries - want) <= err)
+    assert np.all(np.abs(table.entries - want) <= table.err)
 
 
 def _count_calls(monkeypatch, names):
@@ -269,6 +286,25 @@ def test_failed_product_check_re_adapts(monkeypatch):
     calls = _count_calls(monkeypatch, ("_adapt_mesh", "_product_rule"))
     bimoment_table(h, 4)
     assert calls == {"_adapt_mesh": 5, "_product_rule": 2}
+
+
+def test_x_mesh_failing_its_check_floors_the_errors():
+    """At a = 1.6 the x mesh of handle (0,0) fails its check against the
+    final y rule at N = 8; every stated error is at least that check's
+    per-entry x error, summed |Kronrod - Gauss| over the x panels."""
+    from bimoment import quadrature
+
+    h = _pole_loop_handle(1.6)
+
+    def powers(x):
+        return np.vander(x, 9, increasing=True)
+
+    rtol = quadrature.default_tolerance()
+    mx, my, _ = quadrature._product_meshes(h, powers, powers, rtol)
+    _, (total, err, mass) = quadrature._product_rule(mx, my, h.rho, powers(mx.x),
+                                                     powers(my.x))
+    assert not np.all(err <= quadrature._targets(total, mass, rtol)[1])
+    assert np.all(bimoment_table(h, 8).err >= err)
 
 
 @pytest.mark.parametrize("a, N", [(None, 8), (1.25, 6)])
@@ -401,9 +437,12 @@ def test_rho_factorization_gaussian(gauss_setup):
     assert rho_factorization_check(setup.handle(0, 0)) <= 1e-8
 
 
-def test_rho_factorization_quartic(quartic_setup):
+def test_rho_factorization_quartic(monkeypatch, quartic_setup):
+    """All 9 values of the (z, w) grid come from one pair of meshes."""
     _, setup = quartic_setup
+    calls = _count_calls(monkeypatch, ("_product_meshes",))
     assert rho_factorization_check(setup.handle(0, 0)) <= 1e-8
+    assert calls == {"_product_meshes": 1}
 
 
 def test_rho_factorization_gaussian_value(gauss_setup):
@@ -426,14 +465,15 @@ def test_rho_sweep_grows(quartic_setup):
 
 def test_independence_quartic_rank_nine(quartic_setup):
     _, setup = quartic_setup
-    rep = independence_certificate(setup.handles, 3)
+    rep = independence_certificate([h.table(3) for h in setup.handles])
     assert rep.rank == 9
     assert rep.passed
 
 
 def test_independence_duplicate_row_detected(quartic_setup):
     _, setup = quartic_setup
-    rep = independence_certificate(setup.handles + [setup.handles[0]], 3)
+    tables = [h.table(3) for h in setup.handles]
+    rep = independence_certificate(tables + [tables[0]])
     assert rep.rank == 9
     assert rep.rank < rep.expected
     assert not rep.passed
@@ -441,7 +481,7 @@ def test_independence_duplicate_row_detected(quartic_setup):
 
 def test_independence_gaussian_rank_one(gauss_setup):
     _, setup = gauss_setup
-    rep = independence_certificate(setup.handles, 1)
+    rep = independence_certificate([h.table(1) for h in setup.handles])
     assert rep.rank == 1 == rep.expected
 
 
@@ -569,9 +609,9 @@ def test_tolerance_env_override(monkeypatch):
 def test_table_reproducible_within_stated_error(gauss_setup):
     _, setup = gauss_setup
     h = setup.handle(0, 0)
-    t1, e1 = bimoment_table(h, 3, rtol=1e-9)
-    t2, e2 = bimoment_table(h, 3, rtol=1e-11)
-    assert np.all(np.abs(t1.entries - t2.entries) <= e1 + e2)
+    t1 = bimoment_table(h, 3, rtol=1e-9)
+    t2 = bimoment_table(h, 3, rtol=1e-11)
+    assert np.all(np.abs(t1.entries - t2.entries) <= t1.err + t2.err)
 
 
 def test_normalize_change_of_variable_oracle():
@@ -643,9 +683,10 @@ def test_independence_asymmetric_degrees_rank_twelve():
     assert (spec.s1, spec.s2, spec.M) == (3, 4, 12)
     setup = make_setup(spec)
     assert len(setup.handles) == 12
-    rep = independence_certificate(setup.handles, 3)
+    tables = [h.table(3) for h in setup.handles]
+    rep = independence_certificate(tables)
     assert rep.rank == 12
-    worst = max(recurrence_residual(spec, h.table(3)) for h in setup.handles)
+    worst = max(recurrence_residual(spec, t) for t in tables)
     assert worst <= 1e-8
 
 
@@ -760,9 +801,9 @@ def test_stalled_refinement_accepts_within_the_budget_tolerance():
     """At a = 1.6 bisection stops shrinking the x loop's error near 0.87 of
     the tolerance; the engine once ran past two minutes on this table."""
     with _deadline(30):
-        table, err = _pole_loop_handle(1.6).table_with_errors(6)
+        table = _pole_loop_handle(1.6).table(6)
     assert np.all(np.isfinite(table.entries))
-    assert np.all(err <= 1e-6 * np.abs(table.entries))
+    assert np.all(table.err <= 1e-6 * np.abs(table.entries))
 
 
 def test_stalled_refinement_out_of_tolerance_raises():
@@ -889,9 +930,8 @@ def test_stacked_passes_keep_memory_flat(call, bound_mb):
     above: these calls stack too few panels per pass to reach it.)"""
     import tracemalloc
 
-    run, handle = call()
+    run, _ = call()
     run()
-    handle._cache.clear()
     tracemalloc.start()
     try:
         run()
@@ -909,9 +949,9 @@ def test_quartic_real_line_table_matches_mpmath_gamma_series(quartic_setup):
     mpmath = pytest.importorskip("mpmath")
     N = 8
     _, setup = quartic_setup
-    parts = [setup.handle(i, j).table_with_errors(N) for i in (0, 1) for j in (0, 1)]
-    total = sum(t.entries for t, _ in parts)
-    err = sum(e for _, e in parts)
+    parts = [setup.handle(i, j).table(N) for i in (0, 1) for j in (0, 1)]
+    total = sum(t.entries for t in parts)
+    err = sum(t.err for t in parts)
     with mpmath.workdps(30):
         def M(j):
             if j % 2:

@@ -213,9 +213,17 @@ def test_csv_roundtrip_exact():
     t = BimomentTable(ent)
     back = BimomentTable.from_csv(t.to_csv())
     assert np.array_equal(back.entries, t.entries)
-    text = t.to_csv(err=np.abs(ent), comment="note = 1")
+    assert back.err is None
+    text = BimomentTable(ent, err=np.abs(ent)).to_csv(comment="note = 1")
     assert text.splitlines()[:2] == ["# note = 1", "n,m,re,im,err"]
     assert np.array_equal(BimomentTable.from_csv(text).entries, t.entries)
+
+
+@pytest.mark.parametrize("err", [np.zeros((3, 3)), np.zeros(4), -np.eye(2),
+                                 np.full((2, 2), np.nan)], ids=["wide", "flat", "negative", "nan"])
+def test_rejects_misshapen_or_negative_errors(err):
+    with pytest.raises(ValueError, match="errors must be one >= 0 per entry"):
+        BimomentTable(np.ones((2, 2)), err=err)
 
 
 def test_rejects_nonfinite():
