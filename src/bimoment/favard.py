@@ -23,6 +23,8 @@ def favard_reconstruct(rec: RecurrenceSystem, N: int) -> BimomentTable:
     Leading minors of the result satisfy
     Delta_n = (pi0*sigma0)^(-1) * prod_{k<=n-2} gamma_k*gamma_t_k.
     """
+    if N < 0:
+        raise ValueError(f"table order must be >= 0, got {N}")
     if N > rec.order:
         raise ValueError(f"recurrence data stored to order {rec.order} < {N}")
     if complex(rec.pi0) == 0 or complex(rec.sigma0) == 0:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ZeroPolynomial
 
-# Default numerical knobs; every operation taking a tolerance defaults here.
+# root clustering radius, relative to max(1, |root|), and the residual check
 ROOT_CLUSTER_TOL = 1e-8
 ROOT_RESIDUAL_TOL = 1e-10
 
@@ -244,10 +244,10 @@ def poly_eval(p: CPoly, x):
     return acc if np.ndim(x) else complex(acc)
 
 
-def poly_roots(p: CPoly, cluster_tol: float = ROOT_CLUSTER_TOL) -> RootMultiset:
+def poly_roots(p: CPoly) -> RootMultiset:
     """All complex roots with multiplicities.
 
-    Companion-matrix eigenvalues, then cluster-merging at cluster_tol
+    Companion-matrix eigenvalues, then cluster-merging at ROOT_CLUSTER_TOL
     (relative to max(1, |root|)) with a multiplicity-aware Newton polish
     of each cluster center. Residuals are checked against
     |p(r)| <= 1e-10 * max|coeff| * max(1, |r|)^deg.
@@ -270,7 +270,7 @@ def poly_roots(p: CPoly, cluster_tol: float = ROOT_CLUSTER_TOL) -> RootMultiset:
     # proceeds with a radius that grows with the hypothesized multiplicity;
     # a global reconstruction check below rejects over-merging.
     def merge_radius(m: int, center: complex) -> float:
-        return max(cluster_tol, 3.0 * (5e-15) ** (1.0 / m)) * max(1.0, abs(center))
+        return max(ROOT_CLUSTER_TOL, 3.0 * (5e-15) ** (1.0 / m)) * max(1.0, abs(center))
 
     def cluster_with(radius_fn):
         clusters = [[r] for r in raw]
@@ -323,7 +323,7 @@ def poly_roots(p: CPoly, cluster_tol: float = ROOT_CLUSTER_TOL) -> RootMultiset:
         merged = []
         for r, m in sorted(polished, key=lambda t: (t[0].real, t[0].imag)):
             for idx, (r0, m0) in enumerate(merged):
-                if abs(r - r0) <= cluster_tol * max(1.0, abs(r0)):
+                if abs(r - r0) <= ROOT_CLUSTER_TOL * max(1.0, abs(r0)):
                     merged[idx] = ((r0 * m0 + r * m) / (m0 + m), m0 + m)
                     break
             else:
@@ -338,7 +338,7 @@ def poly_roots(p: CPoly, cluster_tol: float = ROOT_CLUSTER_TOL) -> RootMultiset:
     if defect > 1e-7 * scale:
         # multiplicity hypothesis failed: fall back to plain clustering
         merged, defect = finalize(
-            cluster_with(lambda m, c: cluster_tol * max(1.0, abs(c)))
+            cluster_with(lambda m, c: ROOT_CLUSTER_TOL * max(1.0, abs(c)))
         )
 
     for r, m in merged:
@@ -389,21 +389,21 @@ def partial_fractions(num: CPoly, den: CPoly) -> PartialFraction:
     return PartialFraction(q, tuple(terms))
 
 
-def common_factor(p: CPoly, q: CPoly, tol: float = ROOT_CLUSTER_TOL) -> RootMultiset:
+def common_factor(p: CPoly, q: CPoly) -> RootMultiset:
     """Shared roots of p and q with min multiplicities (numerical gcd by
-    root matching at tolerance tol)."""
+    root matching at ROOT_CLUSTER_TOL)."""
     p = _coerce(p)
     q = _coerce(q)
     if p.is_zero() and q.is_zero():
         raise ZeroPolynomial("common factor of two zero polynomials")
     if p.is_zero() or q.is_zero() or p.degree == 0 or q.degree == 0:
         return RootMultiset(())
-    rp = poly_roots(p, tol)
-    rq = poly_roots(q, tol)
+    rp = poly_roots(p)
+    rq = poly_roots(q)
     shared = []
     for rloc, rm in rp:
         for qloc, qm in rq:
-            if abs(rloc - qloc) <= tol * max(1.0, abs(rloc)) * 100:
+            if abs(rloc - qloc) <= ROOT_CLUSTER_TOL * max(1.0, abs(rloc)) * 100:
                 shared.append(((rloc + qloc) / 2, min(rm, qm)))
                 break
     return RootMultiset(tuple(shared))

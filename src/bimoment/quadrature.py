@@ -535,12 +535,11 @@ def _product_meshes(handle: FunctionalHandle, fx, fy, rtol: Optional[float]):
     W1(x) W2(y), with column functions fx, fy as in _coupled_mesh, and
     their product rule (_product_rule).
 
-    A provisional y mesh for fy alone, then x against that fixed y rule.
-    Each of at most two sweeps adapts y against the fixed x rule and forms
-    the product rule, which also judges x against this final y rule by
-    integrate_contour's own acceptance. Only a failed check, with a y mesh
-    that did not repeat, re-adapts x; a repeated x mesh ends the loop too.
-    A return with x failing its check floors err at that check's x error.
+    y for fy alone, then at most two passes of x against the fixed y rule,
+    y against the fixed x rule and the product rule, which also judges x
+    against the final y rule by integrate_contour's own acceptance. Only a
+    failed check takes the second pass; if x fails it again, err is
+    floored at that check's x error.
     """
     if rtol is None:
         rtol = default_tolerance()
@@ -550,20 +549,13 @@ def _product_meshes(handle: FunctionalHandle, fx, fy, rtol: Optional[float]):
     rho = handle.rho
     my = _adapt_mesh(handle.cy, handle.wy, lambda y: fy(y).T,
                      fy(np.zeros(1)).shape[1], rtol)
-    mx = _coupled_mesh(handle.cx, handle.wx, fx, my, fy, rho, rtol)
-    for sweep in range(2):
-        new_y = _coupled_mesh(handle.cy, handle.wy, fy, mx, fx, rho, rtol)
-        y_repeats = np.array_equal(new_y.x, my.x)
-        my = my if y_repeats else new_y
+    for _ in range(2):
+        mx = _coupled_mesh(handle.cx, handle.wx, fx, my, fy, rho, rtol)
+        my = _coupled_mesh(handle.cy, handle.wy, fy, mx, fx, rho, rtol)
         (F, err, mass), (total, xerr, xmass) = _product_rule(mx, my, rho, fx(mx.x), fy(my.x))
-        x_passed = np.all(xerr <= _targets(total, xmass, rtol)[1])
-        product = (F, err if x_passed else np.maximum(err, xerr), mass)
-        if y_repeats or sweep == 1 or x_passed:
-            return mx, my, product
-        new_x = _coupled_mesh(handle.cx, handle.wx, fx, my, fy, rho, rtol)
-        if np.array_equal(new_x.x, mx.x):
-            return mx, my, product
-        mx = new_x
+        if np.all(xerr <= _targets(total, xmass, rtol)[1]):
+            return mx, my, (F, err, mass)
+    return mx, my, (F, np.maximum(err, xerr), mass)
 
 
 def _product_rule(mx: _Mesh, my: _Mesh, rho: float, Px: np.ndarray, Py: np.ndarray):
@@ -662,6 +654,9 @@ def rho_sweep(handle: FunctionalHandle, rhos, z: complex = 0.2, w: complex = -0.
 
 # --- certificates ----------------------------------------------------------
 
+RANK_REL_TOL = 1e-8  # singular values above this share of the largest count to the rank
+
+
 @dataclass
 class IndependenceReport:
     rank: int
@@ -674,8 +669,7 @@ class IndependenceReport:
         return self.rank == self.expected
 
 
-def independence_certificate(tables: list,
-                             rank_rel_tol: float = 1e-8) -> IndependenceReport:
+def independence_certificate(tables: list) -> IndependenceReport:
     """Numerical rank of the stacked, row-normalized bimoment tables, one
     of order N per functional.
 
@@ -691,7 +685,7 @@ def independence_certificate(tables: list,
         rows.append(v / (nrm if nrm > 0 else 1.0))
     A = np.array(rows)
     sv = np.linalg.svd(A, compute_uv=False)
-    rank = int(np.sum(sv > rank_rel_tol * sv[0]))
+    rank = int(np.sum(sv > RANK_REL_TOL * sv[0]))
     return IndependenceReport(rank=rank, expected=len(tables),
                               sv_ratio=float(sv[-1] / sv[0]), singular_values=sv)
 

@@ -25,6 +25,7 @@ from .polycore import CPoly
 PROV_INPUT = 0
 PROV_QUADRATURE = 1
 PROV_RECURRENCE = 2
+_PROV_CODES = (PROV_INPUT, PROV_QUADRATURE, PROV_RECURRENCE)
 
 DEGENERACY_REL_TOL = 1e-12
 
@@ -55,7 +56,10 @@ class BimomentTable:
         if self.provenance is None:
             self.provenance = np.full(self.entries.shape, PROV_INPUT, dtype=np.int8)
         else:
-            self.provenance = np.asarray(self.provenance, dtype=np.int8)
+            prov = np.asarray(self.provenance)
+            if prov.shape != self.entries.shape or not np.all(np.isin(prov, _PROV_CODES)):
+                raise ValueError("bimoment table provenance must be one known code per entry")
+            self.provenance = prov.astype(np.int8)
         if self.err is not None:
             self.err = np.asarray(self.err, dtype=float)
             if self.err.shape != self.entries.shape or not np.all(self.err >= 0):
@@ -101,6 +105,8 @@ class BimomentTable:
         if not rows:
             raise ValueError("empty table CSV")
         N = max(max(r[0] for r in rows), max(r[1] for r in rows))
+        if sorted(r[:2] for r in rows) != [(n, m) for n in range(N + 1) for m in range(N + 1)]:
+            raise ValueError(f"table CSV must hold each (n, m) with 0 <= n, m <= {N} once")
         ent = np.zeros((N + 1, N + 1), dtype=complex)
         for n, m, re, im in rows:
             ent[n, m] = re + 1j * im
@@ -257,41 +263,26 @@ def _conditioned(block: np.ndarray, inv: np.ndarray, tol: float) -> bool:
 
 
 def delta(table: BimomentTable, n: int) -> complex:
-    """Leading principal n x n minor Delta_n (Delta_0 = 1 by convention).
-
-    Row-pivoted elimination with row-norm scaling; the log magnitude is
-    accumulated separately so large tables do not overflow prematurely.
-    """
+    """Leading principal n x n minor Delta_n (Delta_0 = 1 by convention),
+    from delta_scaled, so large tables do not overflow prematurely."""
     val, logmag = delta_scaled(table, n)
     return complex(val * np.exp(logmag))
 
 
 def delta_scaled(table: BimomentTable, n: int):
-    """Return (u, logmag) with Delta_n = u * exp(logmag), |u| ~ 1."""
+    """Return (u, logmag) with Delta_n = u * exp(logmag): |u| = 1, or
+    u = 0 and logmag = -inf for a singular minor. Each row is scaled by its
+    largest |entry|, and LAPACK's pivoted LU (np.linalg.slogdet) gives the
+    rest."""
     if n < 0 or n > table.size + 1:
         raise OutOfRange(f"minor order {n} exceeds table size {table.size}")
     if n == 0:
         return 1.0 + 0j, 0.0
-    a = table.entries[:n, :n].astype(complex).copy()
-    logmag = 0.0
-    unit = 1.0 + 0j
-    for i in range(n):
-        norm = np.max(np.abs(a[i]))
-        if norm > 0:
-            a[i] /= norm
-            logmag += np.log(norm)
-    for col in range(n):
-        piv = col + np.argmax(np.abs(a[col:, col]))
-        if a[piv, col] == 0:
-            return 0.0 + 0j, logmag
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-            unit = -unit
-        pval = a[col, col]
-        logmag += np.log(abs(pval))
-        unit *= pval / abs(pval)
-        a[col + 1 :, col:] -= np.outer(a[col + 1 :, col] / pval, a[col, col:])
-    return unit, logmag
+    a = table.entries[:n, :n]
+    norms = np.abs(a).max(axis=1)
+    norms[norms == 0] = 1.0
+    unit, logdet = np.linalg.slogdet(a / norms[:, None])
+    return complex(unit), float(np.log(norms).sum() + logdet)
 
 
 def table_from_factors(Cp: np.ndarray, h: np.ndarray, Cs: np.ndarray) -> np.ndarray:
@@ -317,19 +308,20 @@ def pair_apply(table: BimomentTable, p: CPoly, s: CPoly) -> complex:
     return complex(pi @ table.entries[: len(pi), : len(sj)] @ sj)
 
 
-def monic_bops(table: BimomentTable, N: int,
-               degeneracy_tol: float = DEGENERACY_REL_TOL) -> BOPPair:
+def monic_bops(table: BimomentTable, N: int) -> BOPPair:
     """Monic biorthogonal pairs through degree N.
 
     One unpivoted L·D·U of mu[:N+1, :N+1]: p_n is row n of L⁻¹, s_n is
     column n of U⁻¹ and h_n = D_n = Delta_{n+1}/Delta_n. Raises
     DegenerateMinor(n) for the first leading block mu[:n, :n] with
-    1/rho(|mu[:n, :n]⁻¹|·|mu[:n, :n]|) at most degeneracy_tol: a verdict
+    1/rho(|mu[:n, :n]⁻¹|·|mu[:n, :n]|) at most DEGENERACY_REL_TOL: a verdict
     that scaling the table or the units of x and y does not change.
     """
+    if N < 0:
+        raise ValueError(f"table order must be >= 0, got {N}")
     if N > table.size:
         raise OutOfRange(f"requested order {N} exceeds table size {table.size}")
-    Cp, h, Cs = _ldu(table.entries[: N + 1, : N + 1], degeneracy_tol)
+    Cp, h, Cs = _ldu(table.entries[: N + 1, : N + 1], DEGENERACY_REL_TOL)
     return BOPPair(p=[CPoly(c) for c in Cp], s=[CPoly(c) for c in Cs], h=h.tolist())
 
 

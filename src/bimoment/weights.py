@@ -36,6 +36,9 @@ STOKES_MARGIN = 1e-3       # min distance of arg(z) from a Stokes ray
 SDC_STEP = 0.25            # path-parameter step of the steepest-descent trace
 U_MAX_SDC = 7.0            # trace |u| <= U_MAX_SDC, where exp(-u^2) ~ 5e-22
 INT_TOL = 1e-9             # lambda within this of an integer counts as integer
+DECAY_MARGIN = 1e-3        # angular margin of a decaying ray direction
+NEWTON_ITERS = 30          # Newton steps onto a level of the steepest-descent path
+POLYLINE_POINTS = 64       # exported points per contour piece
 
 
 @dataclass(frozen=True)
@@ -171,7 +174,7 @@ class Sector:
         return abs(diff) < self.half_width
 
 
-def sectors_at(spec: WeightSpec, anchor=None, eps: float = SECTOR_EPS) -> list:
+def sectors_at(spec: WeightSpec, anchor=None) -> list:
     """Decay sectors at infinity (anchor None) or at a finite essential
     singularity. Infinity has d+1 sectors centered at
     (2 pi k - arg v_top)/(d+1); an X_j with g > 0 has g sectors."""
@@ -179,7 +182,7 @@ def sectors_at(spec: WeightSpec, anchor=None, eps: float = SECTOR_EPS) -> list:
         d = spec.d
         if d < 1:
             raise NotEssential("potential part has no growth at infinity")
-        hw = (math.pi / 2 - eps) / (d + 1)
+        hw = (math.pi / 2 - SECTOR_EPS) / (d + 1)
         base = -cmath.phase(spec.v_top) / (d + 1)
         return [Sector(None, k, _wrap(base + 2 * math.pi * k / (d + 1)), hw)
                 for k in range(d + 1)]
@@ -188,7 +191,7 @@ def sectors_at(spec: WeightSpec, anchor=None, eps: float = SECTOR_EPS) -> list:
             if sng.g < 1:
                 raise NotEssential(f"no essential behavior at {anchor}")
             m = -sng.essential[sng.g - 1]  # V ~ m/(x-X)^g near X
-            hw = (math.pi / 2 - eps) / sng.g
+            hw = (math.pi / 2 - SECTOR_EPS) / sng.g
             base = cmath.phase(m) / sng.g
             return [Sector(sng.location, k, _wrap(base + 2 * math.pi * k / sng.g), hw)
                     for k in range(sng.g)]
@@ -284,18 +287,14 @@ class Contour:
                 out.append(complex(p.direction))
         return out
 
-    def polyline(self, spec: Optional[WeightSpec] = None, T: float = None,
-                 pts_per_piece: int = 64) -> np.ndarray:
-        """Sampled points for plotting/export; rays truncated at T (default:
-        where the weight alone decays to ~1e-16)."""
-        if T is None:
-            T = default_truncation(spec) if spec is not None else 10.0
-        pts = []
-        for p in self.pieces:
-            q = p.materialize(T) if isinstance(p, (InRay, OutRay)) else p
-            ts = np.linspace(0.0, 1.0, pts_per_piece)
-            pts.append(q.point(ts))
-        return np.concatenate(pts)
+    def polyline(self, spec: WeightSpec) -> np.ndarray:
+        """POLYLINE_POINTS sampled points per piece for plotting/export, with
+        rays truncated at default_truncation(spec)."""
+        T = default_truncation(spec)
+        ts = np.linspace(0.0, 1.0, POLYLINE_POINTS)
+        rays = (InRay, OutRay)
+        return np.concatenate([(p.materialize(T) if isinstance(p, rays) else p).point(ts)
+                               for p in self.pieces])
 
 
 def default_truncation(spec: WeightSpec) -> float:
@@ -307,7 +306,7 @@ def default_truncation(spec: WeightSpec) -> float:
     return max(2.0, 1.5 * r)
 
 
-def build_contours(spec: WeightSpec, eps: float = SECTOR_EPS) -> list:
+def build_contours(spec: WeightSpec) -> list:
     """The class-many integration contours of the weight.
 
     Per singularity: a loop from infinity around each branch point/pole
@@ -319,10 +318,9 @@ def build_contours(spec: WeightSpec, eps: float = SECTOR_EPS) -> list:
     sector k+1 to sector k, which orients the real-line-like d = 1 loop
     left to right.
     """
-    secs = sectors_at(spec, None, eps)
+    secs = sectors_at(spec, None)
     d = spec.d
-    theta = [s.center for s in secs]
-    u_L = cmath.exp(1j * theta[0])
+    u_L = cmath.exp(1j * secs[0].center)
 
     locs = [s.location for s in spec.singularities]
     rho = 1.0
@@ -369,7 +367,7 @@ def build_contours(spec: WeightSpec, eps: float = SECTOR_EPS) -> list:
                     anchor_point=p0,
                     sector_in=0, sector_out=0, meta={"sing_index": idx}))
         else:
-            loc_secs = sectors_at(spec, sng.location, eps)
+            loc_secs = sectors_at(spec, sng.location)
             e_top = abs(sng.essential[sng.g - 1])
             r_arc = (e_top / 2.0) ** (1.0 / sng.g)
             r_arc = min(max(r_arc, 1e-3), 0.45 * d_near)
@@ -404,25 +402,20 @@ def build_contours(spec: WeightSpec, eps: float = SECTOR_EPS) -> list:
                 sector_out=0, meta={"sing_index": idx, "connector": True}))
 
     for k in range(d):
-        pin = rho * cmath.exp(1j * theta_in_plane(theta, k + 1))
-        pout = rho * cmath.exp(1j * theta_in_plane(theta, k))
+        # sector centers continued in k (no wrapping): each arc sweeps the short way
+        th_in = secs[0].center + 2 * math.pi * (k + 1) / (d + 1)
+        th_out = secs[0].center + 2 * math.pi * k / (d + 1)
+        pin = rho * cmath.exp(1j * th_in)
+        pout = rho * cmath.exp(1j * th_out)
         contours.append(Contour(
             kind=KIND_INFINITY,
-            pieces=[InRay(pin, cmath.exp(1j * theta_in_plane(theta, k + 1))),
-                    Arc(0.0, rho, theta_in_plane(theta, k + 1), theta_in_plane(theta, k)),
-                    OutRay(pout, cmath.exp(1j * theta_in_plane(theta, k)))],
+            pieces=[InRay(pin, cmath.exp(1j * th_in)),
+                    Arc(0.0, rho, th_in, th_out),
+                    OutRay(pout, cmath.exp(1j * th_out))],
             anchor=None, p_flag=True,
             anchor_point=pin,
             sector_in=k + 1, sector_out=k, meta={"k": k}))
     return contours
-
-
-def theta_in_plane(theta: list, k: int) -> float:
-    """Sector-center angle continued monotonically in k (no wrapping), so
-    arcs between consecutive sectors sweep the short way."""
-    base = theta[0]
-    n = len(theta)
-    return base + 2 * math.pi * k / n
 
 
 def _clear_direction(origin: complex, u: complex, locs: list, sector: Sector) -> complex:
@@ -447,11 +440,11 @@ def _clear_direction(origin: complex, u: complex, locs: list, sector: Sector) ->
 
 # --- decay certificate ---------------------------------------------------
 
-def direction_decays(spec: WeightSpec, u: complex, margin: float = 1e-3) -> bool:
-    """True when Re(v_top * u^(d+1)) > 0 with an angular margin, i.e. the
-    weight decays superexponentially along the ray direction u."""
+def direction_decays(spec: WeightSpec, u: complex) -> bool:
+    """True when Re(v_top * u^(d+1)) > 0 with the angular margin
+    DECAY_MARGIN, i.e. the weight decays superexponentially along the ray direction u."""
     val = spec.v_top * u ** (spec.d + 1)
-    return val.real > abs(val) * math.sin(margin)
+    return val.real > abs(val) * math.sin(DECAY_MARGIN)
 
 
 def contour_certificate(spec: WeightSpec, contour: Contour) -> bool:
@@ -594,11 +587,11 @@ def trace_sdc(spec: WeightSpec, z: complex, k: int) -> Contour:
                          "t_stop": U_MAX_SDC ** 2})
 
 
-def _newton_phase(S, Sp, x, S0, t_target, iters: int = 30):
-    """Solve S(x) = S0 + t_target by complex Newton; None if not converged."""
+def _newton_phase(S, Sp, x, S0, t_target):
+    """Solve S(x) = S0 + t_target in at most NEWTON_ITERS Newton steps; None if not converged."""
     target = S0 + t_target
     tol = 1e-13 * max(1.0, abs(target))
-    for _ in range(iters):
+    for _ in range(NEWTON_ITERS):
         g = S(x) - target
         if abs(g) <= tol:
             return x
@@ -620,7 +613,7 @@ def sdc_phase_defect(spec: WeightSpec, contour: Contour) -> float:
 
 # --- contour JSON export --------------------------------------------------
 
-def contour_to_json_dict(contour: Contour, spec: WeightSpec = None) -> dict:
+def contour_to_json_dict(contour: Contour, spec: WeightSpec) -> dict:
     pts = contour.polyline(spec)
     return {
         "kind": contour.kind,

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from bimoment.errors import DegenerateMinor, OutOfRange
+from bimoment.favard import favard_reconstruct
 from bimoment.polycore import CPoly
 from bimoment.quadrature import make_setup
 from bimoment.semiclassical import validate_spec
 from bimoment.tables import (
     BimomentTable,
+    RecurrenceSystem,
     delta,
     extract_recurrence,
     monic_bops,
@@ -226,6 +228,32 @@ def test_rejects_misshapen_or_negative_errors(err):
         BimomentTable(np.ones((2, 2)), err=err)
 
 
+@pytest.mark.parametrize("prov", [np.zeros((2, 2)), np.full((3, 3), 7)],
+                         ids=["misshapen", "unknown-code"])
+def test_rejects_misshapen_or_unknown_provenance(prov):
+    with pytest.raises(ValueError, match="provenance must be one known code per entry"):
+        BimomentTable(np.eye(3), provenance=prov)
+
+
+@pytest.mark.parametrize("cells", [[(0, 0), (1, 1)],
+                                   [(0, 0), (0, 1), (1, 0), (1, 1), (1, 1)],
+                                   [(0, 0), (0, 1), (1, 0), (-1, 1)]],
+                         ids=["missing", "repeated", "negative"])
+def test_from_csv_needs_each_entry_once(cells):
+    text = "n,m,re,im\n" + "".join(f"{n},{m},1.0,0.0\n" for n, m in cells)
+    with pytest.raises(ValueError, match=r"each \(n, m\) with 0 <= n, m <= 1 once"):
+        BimomentTable.from_csv(text)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: monic_bops(BimomentTable.identity(2), -1),
+    lambda: favard_reconstruct(RecurrenceSystem([1.0], [1.0], [[0.0]], [[0.0]]), -1),
+], ids=["monic_bops", "favard_reconstruct"])
+def test_negative_order_rejected(build):
+    with pytest.raises(ValueError, match="table order must be >= 0, got -1"):
+        build()
+
+
 def test_rejects_nonfinite():
     ent = np.ones((2, 2), dtype=complex)
     ent[1, 1] = np.nan
@@ -235,9 +263,6 @@ def test_rejects_nonfinite():
 
 def test_extract_recurrence_roundtrips_named_coefficient():
     """A system built with a_0(1) = 5 comes back with a_0(1) = 5."""
-    from bimoment.favard import favard_reconstruct
-    from bimoment.tables import RecurrenceSystem
-
     N = 3
     a = [[0.0], [5.0, 0.0], [0.0, 0.0, 0.0]]
     rec = RecurrenceSystem(gamma=[1.0] * N, gamma_t=[1.0] * N,
