@@ -12,15 +12,18 @@ running maximum; multivalued weight factors are continued along the path
 from a fixed anchor point so branch choices do not depend on truncation or
 panel counts.
 
-Double integrals over product contours use a product rule: each contour
-gets one converged Kronrod mesh, adapted against the other contour's
-fixed rule (y alone, x against y, then y against x), and a bimoment table
-or a value of the generating function is the bilinear form of the two
-meshes with the kernel e^(rho x y). That product also judges x against
-the final y rule by the engine's own acceptance; only a failed check
-re-adapts x, then y. A table comes back as one BimomentTable that
-carries its per-entry errors; a FunctionalHandle is plain data and keeps
-no table.
+A bimoment table comes from the series of the kernel e^(rho x y): each
+entry is sum_k rho^k/k! a[n+k] b[m+k] over the one-sided moments of the
+two contours, one integrate_contour run per contour (bimoment_table). A
+table comes back as one BimomentTable that carries its per-entry errors; a
+FunctionalHandle is plain data and keeps no table.
+
+The generating function F(z, w) and the rho checks use a product rule:
+each contour gets one converged Kronrod mesh, adapted against the other
+contour's fixed rule (y alone, x against y, then y against x), and the
+value is the bilinear form of the two meshes with the kernel e^(rho x y).
+That product also judges x against the final y rule by the engine's own
+acceptance; only a failed check re-adapts x, then y.
 """
 from __future__ import annotations
 
@@ -580,36 +583,143 @@ def _product_rule(mx: _Mesh, my: _Mesh, rho: float, Px: np.ndarray, Py: np.ndarr
             (kron.sum(axis=0), np.abs(diff).sum(axis=0), np.abs(kron).sum(axis=0)))
 
 
+# the e^(xy) series of a table: the last _SERIES_WINDOW terms of every entry
+# must sum to at most _SERIES_GUARD of its summed |terms|, with at most
+# _SERIES_MAX_K + 1 terms (a window, because parity zeros make single terms
+# of the Gaussian exactly 0)
+_SERIES_WINDOW = 4
+_SERIES_GUARD = 1e-17
+_SERIES_MAX_K = 700
+# the up-front K passes the window test on the estimated terms with this
+# margin: the rounding noise of a moment that vanishes by parity grows with
+# j, so the terms of such an entry decay a little slower than the estimate
+_SERIES_MARGIN = 10.0
+
+
+def _series_stall(N: int) -> QuadratureStall:
+    return QuadratureStall(
+        f"e^(xy) series of the order-{N} table needs more than {_SERIES_MAX_K} terms")
+
+
+def _log_scales(spec: WeightSpec, J: int) -> np.ndarray:
+    """log s_j, j = 0..J, with s_j = Gamma((j+1)/(d+1)) |v_top|^(-j/(d+1)):
+    the magnitude of int x^j W for the pure monomial weight."""
+    e = 1.0 / (spec.d + 1)
+    j = np.arange(J + 1)
+    return np.array([math.lgamma((i + 1) * e) for i in range(J + 1)]) \
+        - j * e * math.log(abs(spec.v_top))
+
+
+def _log_factorials(K: int) -> np.ndarray:
+    return np.array([math.lgamma(k + 1.0) for k in range(K + 1)])
+
+
+def _hankel_block(contour: Contour, spec: WeightSpec, N: int, K: int,
+                  rtol: Optional[float]):
+    """(H, dH) of shape (N + 1, K + 1): H[n, k] = a[n+k]/sqrt(k!) for the
+    one-sided moments a_j = int x^j W(x) dx, and dH their errors, by one
+    integrate_contour run.
+
+    The run integrates the scaled moments a_j/s_j (_log_scales): every
+    component is O(1) on the monomial weight, so the engine's target
+    rtol (1 + |a_j/s_j|) is a relative one. The powers are formed
+    incrementally, already scaled, so x^j itself is never formed; the
+    factor s_(n+k)/sqrt(k!) is formed from lgamma.
+    """
+    logs = _log_scales(spec, N + K)
+    steps = np.exp(-np.diff(logs, prepend=0.0))   # 1/s_0, then s_(j-1)/s_j
+
+    def gfun(x):
+        f = np.multiply.outer(steps, x)
+        f[0] = steps[0]
+        return np.cumprod(f, axis=0)
+
+    # a far-out node can take a scaled power past the double range; _eval_pass
+    # refuses such a sample with QuadratureStall, so numpy need not warn as well
+    with np.errstate(over="ignore", invalid="ignore"):
+        val, err = integrate_contour(contour, spec, gfun, N + K + 1, rtol=rtol)
+    k = np.arange(K + 1)
+    hankel = np.add.outer(np.arange(N + 1), k)
+    G = np.exp(logs[hankel] - 0.5 * _log_factorials(K))
+    return val[hankel] * G, err[hankel] * G
+
+
+def _series_length(handle: FunctionalHandle, N: int) -> int:
+    """The K that the entry (N, N) of the e^(xy) series needs by the window
+    test, with a margin of _SERIES_MARGIN, from the magnitudes s_(N+k) of
+    the monomial weights (_log_scales). Its terms decay slowest of the
+    table, so the estimate covers every entry. Raises QuadratureStall when
+    K would pass _SERIES_MAX_K."""
+    if handle.rho == 0:
+        return _SERIES_WINDOW - 1
+    k = np.arange(_SERIES_MAX_K + 1)
+    lt = (k * math.log(abs(handle.rho)) - _log_factorials(_SERIES_MAX_K)
+          + _log_scales(handle.wx, N + _SERIES_MAX_K)[N:]
+          + _log_scales(handle.wy, N + _SERIES_MAX_K)[N:])
+    terms = np.exp(lt - lt.max())
+    # window[i] sums terms[i..i+3], the last window when K = i + 3
+    window = np.convolve(terms, np.ones(_SERIES_WINDOW), "valid")
+    settled = np.flatnonzero(window <= _SERIES_GUARD / _SERIES_MARGIN
+                             * np.cumsum(terms)[_SERIES_WINDOW - 1:])
+    if not len(settled):
+        raise _series_stall(N)
+    return int(settled[0]) + _SERIES_WINDOW - 1
+
+
 def bimoment_table(handle: FunctionalHandle, N: int,
                    rtol: Optional[float] = None):
     """mu[n, m] = int_Gx int_Gy W1(x) W2(y) x^n y^m e^(rho x y) dy dx for
     n, m = 0..N.
 
-    Returns one BimomentTable whose err holds the per-entry errors. Each
-    contour gets one converged Kronrod mesh and the table is their bilinear
-    form with the kernel in the monomial columns (see _product_meshes). The
-    error is Kronrod minus Gauss on both factors, floored at the roundoff
-    2e-16 (n + m + 2) times the summed |terms|: a term carries the n + m
-    roundings of its powers, and the exponents of the nodes that weigh
-    x^n y^m grow with n + m.
+    Returns one BimomentTable whose err holds the per-entry errors. The
+    kernel's series gives mu[n, m] = sum_k rho^k/k! a[n+k] b[m+k] from the
+    one-sided moments a_j = int_Gx x^j W1 and b_j = int_Gy y^j W2, one
+    integrate_contour run per side: with the Hankel blocks
+    A[n, k] = a[n+k]/sqrt(k!) and B of b (_hankel_block), the table is
+    A diag(rho^k) Bᵀ.
+
+    K is chosen up front (_series_length) and doubled, up to
+    _SERIES_MAX_K, while the last _SERIES_WINDOW terms of an entry exceed
+    _SERIES_GUARD of its summed |terms|; past that it raises
+    QuadratureStall. The error is sum_k |rho|^k/k! (|da| |b| + |a| |db|)
+    plus the last window, floored at the roundoff of the summed |terms|: a
+    term carries the n + m + 2k roundings of its powers x^(n+k) y^(m+k),
+    and exp(-lgamma(k+1)) stands for 1/k! to within lgamma(k+1) ulps.
     """
     if N < 0:
         raise ValueError(f"table order must be >= 0, got {N}")
-
-    def powers(x):
-        return np.vander(x, N + 1, increasing=True)
-
-    _, _, (mu, err, mass) = _product_meshes(handle, powers, powers, rtol)
-    ulps = 2e-16 * (np.add.outer(np.arange(N + 1), np.arange(N + 1)) + 2)
+    if handle.wx.d < 1 or handle.wy.d < 1:
+        raise DivergentCoupling("both marginal weights need d >= 1")
+    _gaussian_coupling_guard(handle)
+    K = _series_length(handle, N)
+    while True:
+        k = np.arange(K + 1)
+        c = np.abs(handle.rho) ** k
+        (A, dA), (B, dB) = (_hankel_block(handle.cx, handle.wx, N, K, rtol),
+                            _hankel_block(handle.cy, handle.wy, N, K, rtol))
+        absA, absB = np.abs(A) * c, np.abs(B)
+        mass = absA @ absB.T
+        last = slice(K + 1 - _SERIES_WINDOW, None)
+        window = absA[:, last] @ absB[:, last].T
+        if np.all(window <= _SERIES_GUARD * mass):
+            break
+        if K == _SERIES_MAX_K:
+            raise _series_stall(N)
+        K = min(2 * K, _SERIES_MAX_K)
+    n = np.arange(N + 1)
+    mu = (A * handle.rho ** k) @ B.T
+    err = (dA * c) @ absB.T + absA @ dB.T + window
+    roundoff = 2e-16 * ((np.add.outer(n, n) + 2) * mass
+                        + (absA * (2 * k + _log_factorials(K))) @ absB.T)
     return BimomentTable(mu, np.full((N + 1, N + 1), PROV_QUADRATURE, dtype=np.int8),
-                         np.maximum(err, ulps * mass))
+                         np.maximum(err, roundoff))
 
 
 def generating_eval(handle: FunctionalHandle, z: complex, w: complex,
                     rtol: Optional[float] = None) -> complex:
     """F(z, w) = int_Gx int_Gy W1(x) W2(y) e^(xz + yw + rho x y) dy dx, the
     entire generating function of the handle's bimoments, by the product
-    rule of bimoment_table with the single columns e^(xz) and e^(yw)."""
+    rule (_product_meshes) with the single columns e^(xz) and e^(yw)."""
     def fx(x):
         return np.exp(z * x)[:, None]
 

@@ -1,4 +1,6 @@
 import json
+import math
+import time
 import warnings
 
 import pytest
@@ -81,6 +83,39 @@ def test_moments_gaussian(gaussian_spec, tmp_path, capsys):
     first = lines[2].split(",")
     assert (int(first[0]), int(first[1])) == (0, 0)
     assert abs(float(first[2]) - 3.6275987284684357) < 1e-7
+
+
+def test_moments_gaussian_near_the_coupling_edge(tmp_path, capsys):
+    """delta = sigma = 1.1 (mu00 = 2 pi / sqrt(0.21)) once wrote two raw
+    numpy overflow warnings and exited 5."""
+    spec = write_spec(tmp_path, "g.json", [0, 1.1], [1], [0, 1.1], [1])
+    out = tmp_path / "m.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["moments", spec, "--order", "4", "--out", str(out)])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    first = out.read_text().splitlines()[2].split(",")
+    want = 2 * math.pi / math.sqrt(0.21)
+    assert abs(float(first[2]) - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("ds", [1.02, 1.05])
+def test_moments_gaussian_past_the_series_reach_exit_5(tmp_path, capsys, ds):
+    """Refused within a second, before any quadrature, with one stderr line
+    and no numpy warning."""
+    spec = write_spec(tmp_path, "g.json", [0, ds], [1], [0, ds], [1])
+    start = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["moments", spec, "--order", "4"])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "quadrature failure: QuadratureStall: e^(xy) series of the order-4 table "
+        "needs more than 700 terms"]
 
 
 def test_moments_order_zero_single_entry(gaussian_spec, tmp_path):

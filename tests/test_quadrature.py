@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import math
 import signal
+import time
 from contextlib import contextmanager
 
 import numpy as np
@@ -232,6 +233,46 @@ def test_gaussian_table_within_stated_error(gauss_setup, rtol):
     assert np.all(np.abs(table.entries - want) <= table.err)
 
 
+@pytest.mark.parametrize("delta", [1.4, 1.8, 2.2])
+@pytest.mark.parametrize("sigma", [1.4, 1.8, 2.2])
+def test_gaussian_series_error_covers_the_closed_form(delta, sigma):
+    """Every entry's actual error against the closed form is within its
+    stated error (at most about 2e-3 of it here)."""
+    h = make_setup(validate_spec(CPoly([0, delta]), ONE, CPoly([0, sigma]), ONE)).handle(0, 0)
+    for N in (4, 8, 12):
+        table = h.table(N)
+        assert np.all(np.abs(table.entries - gaussian_bimoments(delta, sigma, N)) <= table.err)
+
+
+@pytest.mark.parametrize("N", [4, 8])
+def test_gaussian_table_near_the_coupling_edge(N):
+    """delta = sigma = 1.1, where the terms of the series fall only like
+    1.1^(-k): it settles after about 550 (N=4) and 650 (N=8) terms. Each
+    entry is measured against its Cauchy-Schwarz scale
+    sqrt(mu[2n, 0] mu[0, 2m]), which holds the entries that vanish by
+    parity to the same standard."""
+    h = make_setup(validate_spec(CPoly([0, 1.1]), ONE, CPoly([0, 1.1]), ONE)).handle(0, 0)
+    table = h.table(N)
+    full = gaussian_bimoments(1.1, 1.1, 2 * N)
+    want = full[: N + 1, : N + 1]
+    scale = np.sqrt(np.outer(full[0::2, 0], full[0, 0::2]))
+    assert np.max(np.abs(table.entries - want) / scale) <= 1e-8
+    assert np.all(np.abs(table.entries - want) <= table.err)
+
+
+@pytest.mark.parametrize("ds", [1.02, 1.05])
+def test_gaussian_table_past_the_series_reach_raises_at_once(ds):
+    """Closer to the edge the series would need more than 700 terms; the
+    term estimate refuses before any integration."""
+    from bimoment.errors import QuadratureStall
+
+    h = make_setup(validate_spec(CPoly([0, ds]), ONE, CPoly([0, ds]), ONE)).handle(0, 0)
+    start = time.perf_counter()
+    with pytest.raises(QuadratureStall, match="needs more than 700 terms"):
+        h.table(4)
+    assert time.perf_counter() - start < 1.0
+
+
 def _count_calls(monkeypatch, names):
     """Replace each named quadrature function by a counting wrapper; returns
     the dict of counts, updated as the wrappers run."""
@@ -254,6 +295,31 @@ def _count_calls(monkeypatch, names):
     return calls
 
 
+def _monomials(N):
+    """The column function of the monomials x^0..x^N."""
+    return lambda x: np.vander(x, N + 1, increasing=True)
+
+
+def _product_meshes_table(h, N):
+    """The product rule's meshes and table (mu, err, mass) of order N."""
+    from bimoment import quadrature
+
+    return quadrature._product_meshes(h, _monomials(N), _monomials(N), None)
+
+
+def test_quartic_series_tables_take_two_integrations(monkeypatch):
+    """Each quartic table at N=8 is one integrate_contour run per contour
+    for its one-sided moments: 18 integrations, 774 panel evaluations and
+    36 ray truncations for all 9 handles."""
+    calls = _count_calls(monkeypatch, ("integrate_contour", "_panel_eval", "_truncate_ray"))
+    spec = validate_spec(CPoly([0, 0, 0, 1]), ONE, CPoly([0, 0, 0, 1]), ONE)
+    for h in make_setup(spec).handles:
+        before = calls["integrate_contour"]
+        bimoment_table(h, 8)
+        assert calls["integrate_contour"] == before + 2
+    assert calls == {"integrate_contour": 18, "_panel_eval": 774, "_truncate_ray": 36}
+
+
 def test_quartic_tables_panel_budget(monkeypatch):
     """All 9 quartic tables at N=8 once took 390 integrations, 17,600 panel
     evaluations and 780 ray truncations as nested adaptive quadrature. The
@@ -263,7 +329,7 @@ def test_quartic_tables_panel_budget(monkeypatch):
     calls = _count_calls(monkeypatch, ("integrate_contour", "_panel_eval", "_truncate_ray"))
     spec = validate_spec(CPoly([0, 0, 0, 1]), ONE, CPoly([0, 0, 0, 1]), ONE)
     for h in make_setup(spec).handles:
-        bimoment_table(h, 8)
+        _product_meshes_table(h, 8)
     assert calls == {"integrate_contour": 27, "_panel_eval": 987, "_truncate_ray": 54}
 
 
@@ -273,7 +339,7 @@ def test_quartic_tables_take_three_mesh_adaptations(monkeypatch, quartic_setup):
     _, setup = quartic_setup
     calls = _count_calls(monkeypatch, ("_adapt_mesh", "_product_rule"))
     for h in setup.handles:
-        bimoment_table(h, 8)
+        _product_meshes_table(h, 8)
         assert calls == {"_adapt_mesh": 3, "_product_rule": 1}
         calls.update(_adapt_mesh=0, _product_rule=0)
 
@@ -284,27 +350,55 @@ def test_failed_product_check_re_adapts(monkeypatch):
     product rule is formed once more over the new meshes."""
     h = _pole_loop_handle(1.6)
     calls = _count_calls(monkeypatch, ("_adapt_mesh", "_product_rule"))
-    bimoment_table(h, 4)
+    _product_meshes_table(h, 4)
     assert calls == {"_adapt_mesh": 5, "_product_rule": 2}
 
 
 def test_x_mesh_failing_its_check_floors_the_errors():
     """At a = 1.6 the x mesh of handle (0,0) fails its check against the
-    final y rule at N = 8; every stated error is at least that check's
-    per-entry x error, summed |Kronrod - Gauss| over the x panels."""
+    final y rule at N = 8; every stated error of the product rule is at
+    least that check's per-entry x error, summed |Kronrod - Gauss| over the
+    x panels."""
     from bimoment import quadrature
 
     h = _pole_loop_handle(1.6)
-
-    def powers(x):
-        return np.vander(x, 9, increasing=True)
-
+    powers = _monomials(8)
     rtol = quadrature.default_tolerance()
-    mx, my, _ = quadrature._product_meshes(h, powers, powers, rtol)
+    mx, my, (_, stated, _) = _product_meshes_table(h, 8)
     _, (total, err, mass) = quadrature._product_rule(mx, my, h.rho, powers(mx.x),
                                                      powers(my.x))
     assert not np.all(err <= quadrature._targets(total, mass, rtol)[1])
-    assert np.all(bimoment_table(h, 8).err >= err)
+    assert np.all(stated >= err)
+
+
+# the product rule is kept as an independent double-integral oracle for the
+# series: (A1, B1, A2, B2) and the handles it is checked on
+_ORACLE_SPECS = {
+    "quartic": (([0, 0, 0, 1], [1], [0, 0, 0, 1], [1]), None),
+    "cubic_quintic": (([0, 0, 1], [1], [0, 0, 0, 0, 1], [1]), None),
+    "quartic_pole": (([0.1, -0.2, 0, 1], [1], [0, 0, 0, 1], [1]), None),
+    "gaussian": (([0, 2], [1], [0, 2], [1]), None),
+    # the handles (i, 0) lie on the radius-0.01 loop about the branch point,
+    # where the product rule's own errors are known to be low
+    "pole_loop": (([0, 0, 0, 1], [1], [1.25, 0, 1], [0, 0.5]), 1),
+}
+
+
+@pytest.mark.parametrize("N", [4, 8, 12])
+@pytest.mark.parametrize("name", sorted(_ORACLE_SPECS))
+def test_series_tables_match_the_product_rule(name, N):
+    """Every series table lies within the summed stated errors of the
+    product rule's bilinear form, whose error is floored at 2e-16
+    (n + m + 2) times its summed |terms|, as product-rule tables were."""
+    coeffs, column = _ORACLE_SPECS[name]
+    setup = make_setup(validate_spec(*(CPoly(c) for c in coeffs)))
+    ulps = 2e-16 * (np.add.outer(np.arange(N + 1), np.arange(N + 1)) + 2)
+    for h in setup.handles:
+        if column is not None and h.j != column:
+            continue
+        _, _, (mu, err, mass) = _product_meshes_table(h, N)
+        table = h.table(N)
+        assert np.all(np.abs(table.entries - mu) <= table.err + np.maximum(err, ulps * mass))
 
 
 @pytest.mark.parametrize("a, N", [(None, 8), (1.25, 6)])
@@ -807,10 +901,12 @@ def test_stalled_refinement_accepts_within_the_budget_tolerance():
 
 
 def test_stalled_refinement_out_of_tolerance_raises():
+    """The product rule's meshes of the a = 2.2 pole loop at N = 6 stall
+    far outside the tolerance (about 160x the target with 152 panels)."""
     from bimoment.errors import QuadratureStall
 
     with _deadline(30), pytest.raises(QuadratureStall, match="tolerance unreachable"):
-        _pole_loop_handle(2.2).table(6)
+        _product_meshes_table(_pole_loop_handle(2.2), 6)
 
 
 # --- stacked evaluation -------------------------------------------------------
@@ -922,12 +1018,12 @@ def _gaussian_table12_call():
     (_gaussian_table12_call, 2.5),
 ])
 def test_stacked_passes_keep_memory_flat(call, bound_mb):
-    """Peak traced allocation of one warm call: about 0.3, 1.4, 1.3 and
-    1.9 MB. Forming the coupled kernel exp(rho u vᵀ) whole instead of in
-    blocks of _KERNEL_ROWS rows raises the first three to about 2.4, 15
-    and 11 MB; kept whole for the product rule, the Gaussian kernel at
-    N=12 alone is about 7 MB. (The gfun value cap is checked by call size
-    above: these calls stack too few panels per pass to reach it.)"""
+    """Peak traced allocation of one warm call: about 0.3, 1.1, 0.8 and
+    1.2 MB. The generating function is a product rule: forming its coupled
+    kernel exp(rho u vᵀ) whole instead of in blocks of _KERNEL_ROWS rows
+    raises the first to about 2.4 MB. A table is the e^(xy) series: its
+    passes hand gfun at most about 2^14 values per call however many
+    moments a run integrates."""
     import tracemalloc
 
     run, _ = call()
