@@ -16,7 +16,10 @@ A bimoment table comes from the series of the kernel e^(rho x y): each
 entry is sum_k rho^k/k! a[n+k] b[m+k] over the one-sided moments of the
 two contours, one integrate_contour run per contour (bimoment_table). A
 table comes back as one BimomentTable that carries its per-entry errors; a
-FunctionalHandle is plain data and keeps no table.
+FunctionalHandle is plain data and keeps no table. The one-sided runs are
+kept instead, in a module-level memo of the last _MOMENT_MEMO_SIZE runs
+keyed by (contour, weight, number of moments, resolved rtol)
+(_hankel_block), so the s1*s2 handles of a family take s1 + s2 runs.
 
 The generating function F(z, w) and the rho checks use a product rule:
 each contour gets one converged Kronrod mesh, adapted against the other
@@ -28,6 +31,7 @@ acceptance; only a failed check re-adapts x, then y.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import os
 from dataclasses import dataclass, replace
@@ -291,7 +295,8 @@ def _eval_pass(spec: WeightSpec, qpieces: list, piece: np.ndarray, t0: np.ndarra
         nodes = slice(15 * p0, 15 * (p0 + step))
         f = np.atleast_2d(gfun(x[nodes])) * wdx[nodes]
         if not np.all(np.isfinite(f)):
-            raise QuadratureStall("non-finite integrand sample")
+            what = "weight" if not np.all(np.isfinite(wdx[nodes])) else "integrand"
+            raise QuadratureStall(f"non-finite {what} sample")
         evs.extend(_panel_eval(h, f[:, c:c + 15])
                    for h, c in zip(half[p0:p0 + step], range(0, f.shape[1], 15)))
     return (np.array([ev[0] for ev in evs]), np.array([ev[1] for ev in evs]),
@@ -550,14 +555,18 @@ def _product_meshes(handle: FunctionalHandle, fx, fy, rtol: Optional[float]):
         raise DivergentCoupling("both marginal weights need d >= 1")
     _gaussian_coupling_guard(handle)
     rho = handle.rho
-    my = _adapt_mesh(handle.cy, handle.wy, lambda y: fy(y).T,
-                     fy(np.zeros(1)).shape[1], rtol)
-    for _ in range(2):
-        mx = _coupled_mesh(handle.cx, handle.wx, fx, my, fy, rho, rtol)
-        my = _coupled_mesh(handle.cy, handle.wy, fy, mx, fx, rho, rtol)
-        (F, err, mass), (total, xerr, xmass) = _product_rule(mx, my, rho, fx(mx.x), fy(my.x))
-        if np.all(xerr <= _targets(total, xmass, rtol)[1]):
-            return mx, my, (F, err, mass)
+    # far out on a ray the kernel e^(rho u v) can overflow; _eval_pass refuses
+    # such a sample with QuadratureStall, so numpy need not warn as well
+    with np.errstate(over="ignore", invalid="ignore"):
+        my = _adapt_mesh(handle.cy, handle.wy, lambda y: fy(y).T,
+                         fy(np.zeros(1)).shape[1], rtol)
+        for _ in range(2):
+            mx = _coupled_mesh(handle.cx, handle.wx, fx, my, fy, rho, rtol)
+            my = _coupled_mesh(handle.cy, handle.wy, fy, mx, fx, rho, rtol)
+            (F, err, mass), (total, xerr, xmass) = _product_rule(mx, my, rho, fx(mx.x),
+                                                                 fy(my.x))
+            if np.all(xerr <= _targets(total, xmass, rtol)[1]):
+                return mx, my, (F, err, mass)
     return mx, my, (F, np.maximum(err, xerr), mass)
 
 
@@ -601,17 +610,30 @@ def _series_stall(N: int) -> QuadratureStall:
         f"e^(xy) series of the order-{N} table needs more than {_SERIES_MAX_K} terms")
 
 
+@functools.lru_cache(maxsize=64)
+def _lgammas(e: float, J: int) -> np.ndarray:
+    """lgamma((i+1) e) for i = 0..J, read-only: the grids of _log_scales
+    and, with e = 1, the log k! of the series."""
+    out = np.array([math.lgamma((i + 1) * e) for i in range(J + 1)])
+    out.flags.writeable = False
+    return out
+
+
 def _log_scales(spec: WeightSpec, J: int) -> np.ndarray:
     """log s_j, j = 0..J, with s_j = Gamma((j+1)/(d+1)) |v_top|^(-j/(d+1)):
     the magnitude of int x^j W for the pure monomial weight."""
     e = 1.0 / (spec.d + 1)
-    j = np.arange(J + 1)
-    return np.array([math.lgamma((i + 1) * e) for i in range(J + 1)]) \
-        - j * e * math.log(abs(spec.v_top))
+    return _lgammas(e, J) - np.arange(J + 1) * e * math.log(abs(spec.v_top))
 
 
-def _log_factorials(K: int) -> np.ndarray:
-    return np.array([math.lgamma(k + 1.0) for k in range(K + 1)])
+# the last _MOMENT_MEMO_SIZE one-sided runs of _hankel_block, oldest first:
+# (id(contour), id(spec), N + K, resolved rtol) -> (contour, spec, values,
+# errors). An entry holds its contour and weight, so their ids cannot be
+# reused while it lives; neither is changed in place anywhere, so an id
+# stands for its contents. Each update is one atomic dict operation, so
+# concurrent tables can at worst integrate twice.
+_MOMENT_MEMO_SIZE = 32
+_moment_memo: dict = {}
 
 
 def _hankel_block(contour: Contour, spec: WeightSpec, N: int, K: int,
@@ -625,22 +647,41 @@ def _hankel_block(contour: Contour, spec: WeightSpec, N: int, K: int,
     rtol (1 + |a_j/s_j|) is a relative one. The powers are formed
     incrementally, already scaled, so x^j itself is never formed; the
     factor s_(n+k)/sqrt(k!) is formed from lgamma.
+
+    The run's (values, errors) are memoized under (id(contour), id(spec),
+    N + K, rtol), rtol resolved through default_tolerance; the memo keeps
+    the last _MOMENT_MEMO_SIZE runs and evicts the oldest. The moments do
+    not depend on rho, so every handle on the contour reads the same run,
+    under any rho with the same series length; a copy of the contour or
+    weight, or a fresh setup, misses.
     """
-    logs = _log_scales(spec, N + K)
-    steps = np.exp(-np.diff(logs, prepend=0.0))   # 1/s_0, then s_(j-1)/s_j
+    if rtol is None:
+        rtol = default_tolerance()
+    J = N + K
+    logs = _log_scales(spec, J)
+    key = (id(contour), id(spec), J, rtol)
+    hit = _moment_memo.get(key)
+    if hit is not None and hit[0] is contour and hit[1] is spec:
+        val, err = hit[2:]
+    else:
+        steps = np.exp(-np.diff(logs, prepend=0.0))   # 1/s_0, then s_(j-1)/s_j
 
-    def gfun(x):
-        f = np.multiply.outer(steps, x)
-        f[0] = steps[0]
-        return np.cumprod(f, axis=0)
+        def gfun(x):
+            f = np.multiply.outer(steps, x)
+            f[0] = steps[0]
+            return np.cumprod(f, axis=0)
 
-    # a far-out node can take a scaled power past the double range; _eval_pass
-    # refuses such a sample with QuadratureStall, so numpy need not warn as well
-    with np.errstate(over="ignore", invalid="ignore"):
-        val, err = integrate_contour(contour, spec, gfun, N + K + 1, rtol=rtol)
+        # a far-out node can take a scaled power past the double range;
+        # _eval_pass refuses such a sample with QuadratureStall, so numpy need
+        # not warn as well
+        with np.errstate(over="ignore", invalid="ignore"):
+            val, err = integrate_contour(contour, spec, gfun, J + 1, rtol=rtol)
+        _moment_memo[key] = (contour, spec, val, err)
+        for old in list(_moment_memo)[:-_MOMENT_MEMO_SIZE]:
+            _moment_memo.pop(old, None)
     k = np.arange(K + 1)
     hankel = np.add.outer(np.arange(N + 1), k)
-    G = np.exp(logs[hankel] - 0.5 * _log_factorials(K))
+    G = np.exp(logs[hankel] - 0.5 * _lgammas(1.0, K))
     return val[hankel] * G, err[hankel] * G
 
 
@@ -653,7 +694,7 @@ def _series_length(handle: FunctionalHandle, N: int) -> int:
     if handle.rho == 0:
         return _SERIES_WINDOW - 1
     k = np.arange(_SERIES_MAX_K + 1)
-    lt = (k * math.log(abs(handle.rho)) - _log_factorials(_SERIES_MAX_K)
+    lt = (k * math.log(abs(handle.rho)) - _lgammas(1.0, _SERIES_MAX_K)
           + _log_scales(handle.wx, N + _SERIES_MAX_K)[N:]
           + _log_scales(handle.wy, N + _SERIES_MAX_K)[N:])
     terms = np.exp(lt - lt.max())
@@ -676,7 +717,9 @@ def bimoment_table(handle: FunctionalHandle, N: int,
     one-sided moments a_j = int_Gx x^j W1 and b_j = int_Gy y^j W2, one
     integrate_contour run per side: with the Hankel blocks
     A[n, k] = a[n+k]/sqrt(k!) and B of b (_hankel_block), the table is
-    A diag(rho^k) Bᵀ.
+    A diag(rho^k) Bᵀ. The runs are memoized per (contour, weight, N + K,
+    rtol), not per handle, so the handles of one family share them; a
+    table reads the same bits from the memo as from a fresh run.
 
     K is chosen up front (_series_length) and doubled, up to
     _SERIES_MAX_K, while the last _SERIES_WINDOW terms of an entry exceed
@@ -710,7 +753,7 @@ def bimoment_table(handle: FunctionalHandle, N: int,
     mu = (A * handle.rho ** k) @ B.T
     err = (dA * c) @ absB.T + absA @ dB.T + window
     roundoff = 2e-16 * ((np.add.outer(n, n) + 2) * mass
-                        + (absA * (2 * k + _log_factorials(K))) @ absB.T)
+                        + (absA * (2 * k + _lgammas(1.0, K))) @ absB.T)
     return BimomentTable(mu, np.full((N + 1, N + 1), PROV_QUADRATURE, dtype=np.int8),
                          np.maximum(err, roundoff))
 

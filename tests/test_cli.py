@@ -118,6 +118,17 @@ def test_moments_gaussian_past_the_series_reach_exit_5(tmp_path, capsys, ds):
         "needs more than 700 terms"]
 
 
+def test_moments_weight_past_the_double_range_exit_5(tmp_path, capsys):
+    """A1 = 0.3 + 0.5x - 0.4x^2 + x^3, B1 = 1 + 0.2x: |W| near the origin
+    passes the double range, and the refusal names the weight."""
+    spec = write_spec(tmp_path, "w.json", [0.3, 0.5, -0.4, 1], [1, 0.2], [0, 0, 0, 1], [1])
+    assert main(["moments", spec, "--order", "8"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "quadrature failure: QuadratureStall: non-finite weight sample"]
+
+
 def test_moments_order_zero_single_entry(gaussian_spec, tmp_path):
     out = tmp_path / "m0.csv"
     assert main(["moments", gaussian_spec, "--order", "0", "--out", str(out)]) == 0
@@ -203,6 +214,26 @@ def test_certify_quartic(quartic_spec, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "rank 9/9" in out
+
+
+def test_certify_integrates_each_contour_once(quartic_spec, monkeypatch, capsys):
+    """The 9 quartic tables read the one-sided moments of 3 + 3 contours:
+    6 integrations for all tables, whatever the asymptotics take."""
+    import sys
+
+    from bimoment import quadrature
+
+    original = quadrature.integrate_contour
+    callers = []
+
+    def counted(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "integrate_contour", counted)
+    assert main(["certify", quartic_spec, "--order", "4"]) == 0
+    assert "rank 9/9" in capsys.readouterr().out
+    assert callers.count("_hankel_block") == 6
 
 
 def test_certify_duplicate_forces_failure(quartic_spec, capsys):

@@ -179,9 +179,13 @@ def test_quartic_tables_satisfy_recurrences(quartic_setup):
 
 
 def test_table_is_deterministic(quartic_setup):
+    from bimoment import quadrature
+
     _, setup = quartic_setup
     h = setup.handle(2, 0)
-    t1, t2 = h.table(4), h.table(4)
+    t1 = h.table(4)
+    quadrature._moment_memo.clear()   # integrate again, not read the memo
+    t2 = h.table(4)
     assert t1 is not t2
     assert t1.entries.tobytes() == t2.entries.tobytes()
     assert t1.err.tobytes() == t2.err.tobytes()
@@ -307,17 +311,108 @@ def _product_meshes_table(h, N):
     return quadrature._product_meshes(h, _monomials(N), _monomials(N), None)
 
 
-def test_quartic_series_tables_take_two_integrations(monkeypatch):
-    """Each quartic table at N=8 is one integrate_contour run per contour
-    for its one-sided moments: 18 integrations, 774 panel evaluations and
-    36 ray truncations for all 9 handles."""
+def test_quartic_series_tables_take_one_integration_per_contour(monkeypatch):
+    """The quartic family at N=8 integrates each of its 3 + 3 contours
+    once for its one-sided moments: handle (0,0) takes 2 runs, a handle
+    that brings a new contour 1, and one on two known contours none. All
+    9 handles take 6 integrations, 258 panel evaluations and 12 ray
+    truncations."""
     calls = _count_calls(monkeypatch, ("integrate_contour", "_panel_eval", "_truncate_ray"))
     spec = validate_spec(CPoly([0, 0, 0, 1]), ONE, CPoly([0, 0, 0, 1]), ONE)
+    seen_x, seen_y = set(), set()
     for h in make_setup(spec).handles:
         before = calls["integrate_contour"]
         bimoment_table(h, 8)
-        assert calls["integrate_contour"] == before + 2
-    assert calls == {"integrate_contour": 18, "_panel_eval": 774, "_truncate_ray": 36}
+        new = (h.i not in seen_x) + (h.j not in seen_y)
+        assert calls["integrate_contour"] == before + new
+        seen_x.add(h.i)
+        seen_y.add(h.j)
+    assert calls == {"integrate_contour": 6, "_panel_eval": 258, "_truncate_ray": 12}
+
+
+# --- the memo of one-sided runs ------------------------------------------------
+
+@pytest.mark.parametrize("coeffs", [
+    ([0, 0, 0, 1], [1], [0, 0, 0, 1], [1]),
+    ([0, 0, 0, 1], [1], [1.25, 0, 1], [0, 0.5]),
+], ids=["quartic", "pole_loop_1.25"])
+def test_memo_served_tables_are_bit_identical_to_cold_ones(coeffs):
+    """Every handle's table, with its one-sided runs read from the memo
+    (in family order, and once more with both runs known), has the same
+    bits as a table computed with an empty memo."""
+    from bimoment import quadrature
+
+    spec = validate_spec(*(CPoly(c) for c in coeffs))
+    handles = make_setup(spec).handles
+    served = [h.table(8) for h in handles]
+    again = [h.table(8) for h in handles]
+    for h, a, b in zip(handles, served, again):
+        quadrature._moment_memo.clear()
+        cold = h.table(8)
+        for t in (a, b):
+            assert t.entries.tobytes() == cold.entries.tobytes()
+            assert t.err.tobytes() == cold.err.tobytes()
+
+
+def test_memo_misses_copies_and_fresh_setups(monkeypatch, quartic_setup):
+    """The memo goes by identity: a copy of a contour or of a weight, or
+    the same spec's fresh setup, integrates again. A rho of the same
+    modulus, with the same series length, does not: the one-sided moments
+    do not depend on rho."""
+    _, setup = quartic_setup
+    calls = _count_calls(monkeypatch, ("integrate_contour",))
+    h = setup.handle(1, 2)
+    h.table(4)
+    assert calls["integrate_contour"] == 2
+    for variant, runs in [
+        (dataclasses.replace(h, rho=-1.0), 0),
+        (dataclasses.replace(h, cx=dataclasses.replace(h.cx)), 1),
+        (dataclasses.replace(h, wy=dataclasses.replace(h.wy)), 1),
+        (make_setup(validate_spec(CPoly([0, 0, 0, 1]), ONE, CPoly([0, 0, 0, 1]), ONE))
+         .handle(1, 2), 2),
+    ]:
+        before = calls["integrate_contour"]
+        variant.table(4)
+        assert calls["integrate_contour"] == before + runs
+
+
+def test_memo_misses_another_resolved_tolerance(monkeypatch, quartic_setup):
+    """The key holds rtol as resolved through BIMOMENT_TOL: another rtol
+    integrates again, and the same value reached through the environment
+    or an argument does not."""
+    _, setup = quartic_setup
+    calls = _count_calls(monkeypatch, ("integrate_contour",))
+    h = setup.handle(0, 0)
+    h.table(4)
+    h.table(4, rtol=1e-10)
+    assert calls["integrate_contour"] == 2
+    h.table(4, rtol=1e-8)
+    assert calls["integrate_contour"] == 4
+    monkeypatch.setenv("BIMOMENT_TOL", "1e-8")
+    h.table(4)
+    assert calls["integrate_contour"] == 4
+    monkeypatch.setenv("BIMOMENT_TOL", "1e-9")
+    h.table(4)
+    assert calls["integrate_contour"] == 6
+
+
+def test_memo_keeps_at_most_its_bound():
+    """Fresh quartic setups bring 6 new contours each: past the bound the
+    oldest runs are evicted, so the memo holds none of the first setup's
+    contours and all of the last one's."""
+    from bimoment import quadrature
+
+    spec = validate_spec(CPoly([0, 0, 0, 1]), ONE, CPoly([0, 0, 0, 1]), ONE)
+    setups = []
+    for _ in range(quadrature._MOMENT_MEMO_SIZE // 6 + 2):
+        setups.append(make_setup(spec))
+        for h in setups[-1].handles:
+            h.table(3)
+            assert len(quadrature._moment_memo) <= quadrature._MOMENT_MEMO_SIZE
+    assert len(quadrature._moment_memo) == quadrature._MOMENT_MEMO_SIZE
+    held = {id(e[0]) for e in quadrature._moment_memo.values()}
+    assert not held & {id(c) for c in setups[0].contours_x + setups[0].contours_y}
+    assert {id(c) for c in setups[-1].contours_x + setups[-1].contours_y} <= held
 
 
 def test_quartic_tables_panel_budget(monkeypatch):
@@ -485,6 +580,36 @@ def test_generating_gaussian_near_coupling_edge(z, w):
     got = generating_eval(make_setup(spec).handle(0, 0), z, w)
     want = gaussian_generating(1.216, 1.201, z, w)
     assert abs(got - want) <= 1e-9 * abs(want)
+
+
+@pytest.mark.parametrize("ds", [1.02, 1.05])
+@pytest.mark.parametrize("z, w", [(0.3, -0.2), (0, 0)])
+def test_generating_past_the_product_rule_reach_warns_nothing(ds, z, w):
+    """Near the coupling edge the kernel overflows far out on the rays:
+    the product rule raises QuadratureStall, and numpy writes no warning."""
+    import warnings
+
+    from bimoment.errors import QuadratureStall
+
+    h = make_setup(validate_spec(CPoly([0, ds]), ONE, CPoly([0, ds]), ONE)).handle(0, 0)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises(QuadratureStall, match="non-finite integrand sample"):
+            generating_eval(h, z, w)
+    assert [str(m.message) for m in seen] == []
+
+
+@pytest.mark.parametrize("N", [2, 4, 8])
+def test_weight_past_the_double_range_is_named(N):
+    """A1 = 0.3 + 0.5x - 0.4x^2 + x^3, B1 = 1 + 0.2x: |W| passes the double
+    range near the origin, so every table is refused, and the refusal
+    says that the weight, not the integrand's powers, left the range."""
+    from bimoment.errors import QuadratureStall
+
+    spec = validate_spec(CPoly([0.3, 0.5, -0.4, 1]), CPoly([1, 0.2]), CPoly([0, 0, 0, 1]), ONE)
+    for h in make_setup(spec).handles:
+        with pytest.raises(QuadratureStall, match="non-finite weight sample"):
+            h.table(N)
 
 
 def test_generating_quartic_real_line_taylor(quartic_setup):
@@ -1026,8 +1151,11 @@ def test_stacked_passes_keep_memory_flat(call, bound_mb):
     moments a run integrates."""
     import tracemalloc
 
+    from bimoment import quadrature
+
     run, _ = call()
     run()
+    quadrature._moment_memo.clear()   # the traced call integrates again
     tracemalloc.start()
     try:
         run()
