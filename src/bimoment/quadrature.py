@@ -21,12 +21,21 @@ kept instead, in a module-level memo of the last _MOMENT_MEMO_SIZE runs
 keyed by (contour, weight, number of moments, resolved rtol)
 (_hankel_block), so the s1*s2 handles of a family take s1 + s2 runs.
 
-The generating function F(z, w) and the rho checks use a product rule:
-each contour gets one converged Kronrod mesh, adapted against the other
-contour's fixed rule (y alone, x against y, then y against x), and the
-value is the bilinear form of the two meshes with the kernel e^(rho x y).
-That product also judges x against the final y rule by the engine's own
-acceptance; only a failed check re-adapts x, then y.
+The generating function F(z, w) is the same series over the one-sided
+transforms Xi_k(z) = int x^k W1 e^(xz) and Psi_k(w): F = sum_k rho^k/k!
+Xi_k(z) Psi_k(w). A side integrates only its deg A seeds and a two-term
+check block, in one integrate_contour run, and the weight's Pearson
+recurrence gives the rest (_SeededTransforms), with errors carried
+through the recursion; a recursion that misses its check block, or an F
+whose propagated error exceeds rtol times its summed |terms|, falls back
+to integrating all the transforms.
+
+The rho check keeps a product rule, as a double integral independent of
+the series: each contour gets one converged Kronrod mesh, adapted against
+the other contour's fixed rule (y alone, x against y, then y against x),
+and the value is the bilinear form of the two meshes with the kernel
+e^(rho x y). That product also judges x against the final y rule by the
+engine's own acceptance; only a failed check re-adapts x, then y.
 """
 from __future__ import annotations
 
@@ -45,7 +54,7 @@ from .errors import (
     DivergentTail,
     QuadratureStall,
 )
-from .polycore import poly_eval
+from .polycore import CPoly, poly_eval
 from .tables import PROV_QUADRATURE, BimomentTable
 from .weights import (
     Arc,
@@ -319,7 +328,7 @@ _STALL_ROUNDS = 3
 def integrate_contour(contour: Contour, spec: WeightSpec, gfun, ncomp: int,
                       rtol: Optional[float] = None, atol: float = 0.0,
                       max_panels: int = MAX_PANELS_PER_PIECE,
-                      _panels: Optional[list] = None):
+                      _panels: Optional[list] = None, probe=None):
     """integral of W(x) g(x) dx over the contour; g vector-valued with ncomp
     components.
 
@@ -333,10 +342,12 @@ def integrate_contour(contour: Contour, spec: WeightSpec, gfun, ncomp: int,
     accepts within 20x the tolerance or raises QuadratureStall. When
     _panels is a list, the final panels are appended to it as one pair
     (nodes, W(x) dx times the half-width) of (P, 15) arrays in path order.
+    The rays are truncated on the samples of probe (default gfun), a
+    function of the nodes like gfun with any number of components.
     """
     if rtol is None:
         rtol = default_tolerance()
-    qpieces = _prepare(contour, spec, gfun)
+    qpieces = _prepare(contour, spec, gfun if probe is None else probe)
 
     # the panels in path order: piece index, parameter interval, Kronrod
     # value, error, nodes and W(x) dx/dt at the nodes
@@ -605,9 +616,10 @@ _SERIES_MAX_K = 700
 _SERIES_MARGIN = 10.0
 
 
-def _series_stall(N: int) -> QuadratureStall:
+def _series_stall(N: int, of: Optional[str] = None) -> QuadratureStall:
     return QuadratureStall(
-        f"e^(xy) series of the order-{N} table needs more than {_SERIES_MAX_K} terms")
+        f"e^(xy) series of {of or f'the order-{N} table'} needs more than "
+        f"{_SERIES_MAX_K} terms")
 
 
 @functools.lru_cache(maxsize=64)
@@ -685,12 +697,13 @@ def _hankel_block(contour: Contour, spec: WeightSpec, N: int, K: int,
     return val[hankel] * G, err[hankel] * G
 
 
-def _series_length(handle: FunctionalHandle, N: int) -> int:
+def _series_length(handle: FunctionalHandle, N: int, of: Optional[str] = None) -> int:
     """The K that the entry (N, N) of the e^(xy) series needs by the window
     test, with a margin of _SERIES_MARGIN, from the magnitudes s_(N+k) of
     the monomial weights (_log_scales). Its terms decay slowest of the
-    table, so the estimate covers every entry. Raises QuadratureStall when
-    K would pass _SERIES_MAX_K."""
+    table, so the estimate covers every entry. Raises QuadratureStall,
+    naming the series as of (default: the order-N table), when K would
+    pass _SERIES_MAX_K."""
     if handle.rho == 0:
         return _SERIES_WINDOW - 1
     k = np.arange(_SERIES_MAX_K + 1)
@@ -703,7 +716,7 @@ def _series_length(handle: FunctionalHandle, N: int) -> int:
     settled = np.flatnonzero(window <= _SERIES_GUARD / _SERIES_MARGIN
                              * np.cumsum(terms)[_SERIES_WINDOW - 1:])
     if not len(settled):
-        raise _series_stall(N)
+        raise _series_stall(N, of)
     return int(settled[0]) + _SERIES_WINDOW - 1
 
 
@@ -758,19 +771,197 @@ def bimoment_table(handle: FunctionalHandle, N: int,
                          np.maximum(err, roundoff))
 
 
+# --- one-sided transforms from seeds -----------------------------------------
+
+_EPS = 2.0 ** -52   # the unit roundoff of a double
+
+
+def _pearson(spec: WeightSpec):
+    """Pearson data (A, B) of the weight as integrated, (B W)' = -A W:
+    B = prod_j (x - X_j)^(g_j + 1) and A = B V' - B'. Equal to the defining
+    pair up to the leading coefficient of its B."""
+    lins = [CPoly([-sng.location, 1.0]) for sng in spec.singularities]
+    factors = [lin ** (sng.g + 1) for lin, sng in zip(lins, spec.singularities)]
+    B = functools.reduce(CPoly.__mul__, factors, CPoly.one())
+    A = B * spec.Vplus.deriv() - B.deriv()
+    for j, (lin, sng) in enumerate(zip(lins, spec.singularities)):
+        # B times the polar part -lam/(x - X) + sum_q q e_q/(x - X)^(q+1) of V'
+        polar = -sng.lam * lin ** sng.g
+        for q, e in enumerate(sng.essential, start=1):
+            polar = polar + q * e * lin ** (sng.g - q)
+        A = A + functools.reduce(CPoly.__mul__, factors[:j] + factors[j + 1:], polar)
+    return A, B
+
+
+def _transform_run(contour: Contour, spec: WeightSpec, z: complex, blocks,
+                   rtol: float):
+    """(values, errors) of the scaled transforms int x^j W e^(xz) dx / s_j
+    for j in each range(lo, hi) of blocks, in order, by one
+    integrate_contour run. Within a block the powers are formed
+    incrementally and already scaled, as in _hankel_block, from
+    (x s_lo^(-1/lo))^lo when lo > 0, so x^j itself is never formed. The
+    rays are truncated on every j below the last hi, not only on the
+    blocks: a block far above the others has its mass farther out."""
+    logs = _log_scales(spec, blocks[-1][1] - 1)
+    steps = np.exp(-np.diff(logs, prepend=0.0))   # 1/s_0, then s_(j-1)/s_j
+
+    def powers(x, lo, hi):
+        f = np.multiply.outer(steps[lo:hi], x)
+        f[0] = (x * math.exp(-logs[lo] / lo)) ** lo if lo else steps[0]
+        return np.cumprod(f, axis=0)
+
+    def gfun(x):
+        return np.concatenate([powers(x, lo, hi) for lo, hi in blocks]) * np.exp(z * x)
+
+    def probe(x):
+        return powers(x, 0, blocks[-1][1]) * np.exp(z * x)
+
+    # far out on a ray e^(xz) or a scaled power can pass the double range;
+    # _eval_pass refuses such a sample with QuadratureStall, so numpy need not
+    # warn as well
+    with np.errstate(over="ignore", invalid="ignore"):
+        return integrate_contour(contour, spec, gfun, sum(hi - lo for lo, hi in blocks),
+                                 rtol=rtol, probe=probe)
+
+
+class _SeededTransforms:
+    """The scaled one-sided transforms t_j = Xi_j(z)/s_j of one contour,
+    Xi_j(z) = int x^j W e^(xz) dx and s_j as in _log_scales, for j = 0..J
+    with any J, from one integrate_contour run.
+
+    The weight W e^(xz) has the Pearson data (A - zB, B) (_pearson), so
+    sum_i A_i Xi[j+i] = j sum_i B_i Xi[j-1+i] with A here A - zB, and the
+    p = deg A seeds t_0..t_(p-1) fix every t_j. The run integrates the
+    seeds and a check block t_(top-1), t_top, which the recursion must
+    match within the summed errors (agrees): a contour's transforms may be
+    a minimal solution, for which forward recursion is unstable (Gautschi,
+    SIAM Review 9, 1967). The recursion runs on the scaled t_j with the
+    ratios s_i/s_(j+p), so nothing overflows, and carries the p unit-seed
+    columns along: e_j = sum_i |dt_j/dseed_i| err_i, plus the roundoff of
+    the steps, a running sum over the steps of eps times each term's
+    |value| times its roundings: the p + 2 of the step's products and sums
+    and |log s_i| + |log s_(j+p)| of the exp that forms its ratio.
+
+    The check block sits at j = top, the series length chosen up front, so
+    it checks the whole recursion that a series of that length uses.
+    """
+
+    def __init__(self, contour: Contour, spec: WeightSpec, z: complex, top: int,
+                 rtol: float):
+        A, B = _pearson(spec)
+        self.spec = spec
+        self.a = (A - z * B).coeffs
+        self.b = B.coeffs
+        p = self.p = len(self.a) - 1
+        top = max(top, p + 1)
+        self.check = np.array([top - 1, top])
+        vals, errs = _transform_run(contour, spec, z, [(0, p), (top - 1, top + 1)], rtol)
+        self.seeds, self.seed_err = vals[:p], errs[:p]
+        self.block, self.block_err = vals[p:], errs[p:]
+        # row r of _T holds t_(r-1): the value, then the p unit-seed
+        # columns; row 0 is t_(-1), which every step multiplies by j = 0
+        self._T = np.zeros((p + 1, p + 1), dtype=complex)
+        self._T[1:, 0] = self.seeds
+        self._T[1:, 1:] = np.eye(p)
+        self._coef = np.zeros((0, p + 1), dtype=complex)
+        self._ulps = np.zeros((0, p + 1))
+        self.upto(top)
+
+    def upto(self, J: int):
+        """(t, e) for j = 0..J: the recursion's values and their errors.
+        A longer J extends the recursion kept so far."""
+        p = self.p
+        have = len(self._T) - 2
+        if J > have:
+            # step j forms t_(j+p) from t_(j-1)..t_(j+p-1), with the weights
+            # (j B_o - A_(o-1)) s_(j-1+o) / (A_p s_(j+p)), o = 0..p
+            logs = _log_scales(self.spec, J)
+            j = np.arange(have + 1 - p, J + 1 - p)[:, None]
+            o = np.arange(p + 1)
+            bpad = np.zeros(p + 1, dtype=complex)
+            bpad[:len(self.b)] = self.b
+            apad = np.r_[0.0, self.a[:p]]
+            src, dst = logs[np.maximum(j - 1 + o, 0)], logs[j + p]
+            coef = (j * bpad - apad) / self.a[p] * np.exp(src - dst)
+            # the roundings of a term: its p + 2 products and sums, and the
+            # exp of a difference of logs of size |log s|
+            self._ulps = np.concatenate([self._ulps, p + 2 + np.abs(src) + np.abs(dst)])
+            T = np.concatenate([self._T, np.zeros((len(coef), p + 1), dtype=complex)])
+            for i, c in zip(j.ravel().tolist(), coef):
+                np.dot(c, T[i:i + p + 1], out=T[i + p + 1])
+            self._T = T
+            self._coef = np.concatenate([self._coef, coef])
+            # each step's roundoff from its |terms|, in a running sum
+            ulps = np.sum(self._ulps * np.abs(self._coef) * np.lib.stride_tricks
+                          .sliding_window_view(np.abs(T[:-1, 0]), p + 1), axis=1)
+            self._e = (np.abs(T[1:, 1:]) @ self.seed_err
+                       + _EPS * np.cumsum(np.r_[np.zeros(p), ulps]))
+        return self._T[1:J + 2, 0], self._e[:J + 1]
+
+    def agrees(self) -> bool:
+        """The recursion matches the integrated check block within the
+        summed errors."""
+        t, e = self.upto(int(self.check[-1]))
+        return bool(np.all(np.abs(t[self.check] - self.block)
+                           <= e[self.check] + self.block_err))
+
+
+def _generating_series(handle: FunctionalHandle, K: int, transforms):
+    """(F, err, mass, K) of F = sum_k rho^k/k! Xi_k(z) Psi_k(w) from
+    transforms(K) = ((t, e) of x, (t, e) of y), the scaled one-sided
+    transforms and their errors for k = 0..K. K is doubled, up to
+    _SERIES_MAX_K, while the last _SERIES_WINDOW terms exceed _SERIES_GUARD
+    of the summed |terms| mass; past that it raises QuadratureStall. err is
+    sum_k |rho^k/k!| (e^x_k |Psi_k| + |Xi_k| e^y_k)."""
+    while True:
+        (tx, ex), (ty, ey) = transforms(K)
+        k = np.arange(K + 1)
+        g = (np.exp(_log_scales(handle.wx, K) + _log_scales(handle.wy, K)
+                    - _lgammas(1.0, K)) * handle.rho ** k)
+        terms = np.abs(g * tx * ty)
+        if terms[K + 1 - _SERIES_WINDOW:].sum() <= _SERIES_GUARD * terms.sum():
+            break
+        if K == _SERIES_MAX_K:
+            raise _series_stall(0, "F(z, w)")
+        K = min(2 * K, _SERIES_MAX_K)
+    return (g @ (tx * ty), np.abs(g) @ (ex * np.abs(ty) + np.abs(tx) * ey),
+            terms.sum(), K)
+
+
 def generating_eval(handle: FunctionalHandle, z: complex, w: complex,
                     rtol: Optional[float] = None) -> complex:
     """F(z, w) = int_Gx int_Gy W1(x) W2(y) e^(xz + yw + rho x y) dy dx, the
-    entire generating function of the handle's bimoments, by the product
-    rule (_product_meshes) with the single columns e^(xz) and e^(yw)."""
-    def fx(x):
-        return np.exp(z * x)[:, None]
+    entire generating function of the handle's bimoments, from the kernel's
+    series F = sum_k rho^k/k! Xi_k(z) Psi_k(w) over the one-sided
+    transforms Xi_k(z) = int_Gx x^k W1 e^(xz) and Psi_k(w) = int_Gy y^k W2
+    e^(yw).
 
-    def fy(y):
-        return np.exp(w * y)[:, None]
-
-    _, _, (F, _, _) = _product_meshes(handle, fx, fy, rtol)
-    return complex(F[0, 0])
+    Each side's transforms come from its seeds and the Pearson recurrence
+    (_SeededTransforms), one integrate_contour run per contour; K is chosen
+    up front (_series_length) and doubling it only extends the recursions.
+    The series is accepted when both recursions match their check blocks
+    and the propagated error of F is at most rtol (1 + sum_k |terms|): the
+    transforms from seeds are then as accurate as integrated ones, which
+    the engine holds to rtol (1 + |t_k|). Otherwise both sides integrate
+    all K + 1 scaled transforms in one run each and the series is summed
+    from those. Raises QuadratureStall when the series would need more
+    than _SERIES_MAX_K terms. The product rule (_product_meshes) serves
+    only rho_factorization_check.
+    """
+    if rtol is None:
+        rtol = default_tolerance()
+    if handle.wx.d < 1 or handle.wy.d < 1:
+        raise DivergentCoupling("both marginal weights need d >= 1")
+    _gaussian_coupling_guard(handle)
+    K = _series_length(handle, 0, "F(z, w)")
+    sides = ((handle.cx, handle.wx, z), (handle.cy, handle.wy, w))
+    seeded = [_SeededTransforms(c, spec, zeta, K, rtol) for c, spec, zeta in sides]
+    F, err, mass, K = _generating_series(handle, K, lambda K: [s.upto(K) for s in seeded])
+    if all(s.agrees() for s in seeded) and err <= rtol * (1.0 + mass):
+        return complex(F)
+    F, _, _, _ = _generating_series(handle, K, lambda K: [
+        _transform_run(c, spec, zeta, [(0, K + 1)], rtol) for c, spec, zeta in sides])
+    return complex(F)
 
 
 def rho_factorization_check(handle: FunctionalHandle,

@@ -3,8 +3,10 @@ benchmark's own checks and without its timing.
 
 The block is what ``python3 perfbench/run.py --workload W --seed 7
 --seconds 20 --trace 1`` times: 24 ``tables`` ops, 36 ``transforms`` ops
-and 45 ``algebra`` ops. A change that breaks an output the benchmark
-checks fails here, before any benchmark run.
+and 45 ``algebra`` ops. The F(z, w) ops of the first 30 ``transforms``
+rounds of seeds 1 to 10 run as well: 300 closed-form checks of the
+generating function. A change that breaks an output the benchmark checks
+fails here, before any benchmark run.
 """
 import sys
 from pathlib import Path
@@ -28,5 +30,18 @@ def test_first_traced_block_passes_the_bench_checks(workload, ops):
     assert plan.traced_ops == ops
     problems = []
     for op in plan.timed[: plan.traced_ops]:
+        problems += [f"{op.label}: {p}" for p in op.check(op.run())]
+    assert problems == []
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_first_thirty_rounds_of_gaussian_generating_pass_the_bench_checks(seed):
+    """Every F(z, w) op of the first 30 transforms rounds, one per round,
+    against the benchmark's closed-form check."""
+    plan = workloads.build(bm, "transforms", seed, SECONDS)
+    ops = [op for op in plan.timed[: 3 * 30] if op.label.startswith("F ")]
+    assert len(ops) == 30
+    problems = []
+    for op in ops:
         problems += [f"{op.label}: {p}" for p in op.check(op.run())]
     assert problems == []

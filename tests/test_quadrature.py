@@ -584,9 +584,10 @@ def test_generating_gaussian_near_coupling_edge(z, w):
 
 @pytest.mark.parametrize("ds", [1.02, 1.05])
 @pytest.mark.parametrize("z, w", [(0.3, -0.2), (0, 0)])
-def test_generating_past_the_product_rule_reach_warns_nothing(ds, z, w):
-    """Near the coupling edge the kernel overflows far out on the rays:
-    the product rule raises QuadratureStall, and numpy writes no warning."""
+def test_generating_past_the_series_reach_warns_nothing(ds, z, w):
+    """Near the coupling edge the e^(xy) series of F would need more than
+    700 terms: it raises QuadratureStall at once, and numpy writes no
+    warning."""
     import warnings
 
     from bimoment.errors import QuadratureStall
@@ -594,7 +595,7 @@ def test_generating_past_the_product_rule_reach_warns_nothing(ds, z, w):
     h = make_setup(validate_spec(CPoly([0, ds]), ONE, CPoly([0, ds]), ONE)).handle(0, 0)
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
-        with pytest.raises(QuadratureStall, match="non-finite integrand sample"):
+        with pytest.raises(QuadratureStall, match="needs more than 700 terms"):
             generating_eval(h, z, w)
     assert [str(m.message) for m in seen] == []
 
