@@ -10,7 +10,11 @@ and the x<->y mirror. Under the degree assumptions deg(B_i)+1 <= deg(A_i)
 the solution space has dimension exactly (a1+1)*(a2+1) and every solution
 is determined by the seed block mu[0..a1, 0..a2]; propagate_moments
 realizes that determination as a sequence of per-antidiagonal linear
-solves with consistency residuals.
+solves with consistency residuals. On a side with deg(B_i)+1 < deg(A_i)
+each recurrence instance holds one entry of the frontier, so an
+antidiagonal whose equations each hold one unknown is solved as a
+weighted mean per unknown; an antidiagonal with a coupled equation, which
+an edge side (deg(B_i)+1 = deg(A_i)) brings, is solved by least squares.
 """
 from __future__ import annotations
 
@@ -204,7 +208,17 @@ def recurrence_residual(spec: SemiclassicalSpec, table: BimomentTable) -> float:
     return max(worst(0), worst(1))
 
 
-def _frontier_plan(terms, side, top, Ni):
+_TINY = np.finfo(float).tiny
+
+
+def _unit_scale(A: CPoly, B: CPoly) -> float:
+    """The power of two that brings the largest coefficient of A and B into
+    [1, 2). Those coefficients are the side's stencil coefficients (c0, c1)."""
+    peak = max(float(np.max(np.abs(A.coeffs))), float(np.max(np.abs(B.coeffs))))
+    return 2.0 ** (1 - np.frexp(peak)[1])
+
+
+def _frontier_plan(terms, side, top, Ni, scale):
     """The seed-independent part of one side's frontier equations.
 
     The instances are those whose terms fit in the (Ni+1)^2 grid, ordered
@@ -212,7 +226,8 @@ def _frontier_plan(terms, side, top, Ni):
     equations of antidiagonal k are the columns edges[k]:edges[k+1]. The
     terms that reach furthest along and across the side have constant
     nonzero coefficients (deg B_i < deg A_i), so bounding n and m by the
-    stencil's reach keeps exactly the instances that fit. Returns
+    stencil's reach keeps exactly the instances that fit. The coefficients
+    are multiplied by scale, a power of two, which is exact. Returns
     (edges, flat grid index of every term, its coefficient, terms that
     need not be known (absent, or at or above the frontier), present
     terms on the frontier), each array of shape (terms, instances).
@@ -223,6 +238,7 @@ def _frontier_plan(terms, side, top, Ni):
     n, m = n[order], m[order]
     k = n + m + top
     I, J, C = terms(side, n, m)
+    C *= scale
     present = C != 0
     # absent terms may point off the grid; their index is clipped. In
     # place: these (terms, instances) arrays set the call's peak memory.
@@ -244,8 +260,9 @@ def _solve_frontiers(spec: SemiclassicalSpec, mu, known, residual_tol: float):
     Ni = len(mu) - 1
     known_flat, mu_flat = known.reshape(-1), mu.reshape(-1)
     terms = _recurrence_terms(spec)
-    plan = [_frontier_plan(terms, side, top, Ni)
-            for side, top in enumerate((spec.a1 + 1, spec.a2 + 1))]
+    sides = ((spec.A1, spec.B1, spec.a1 + 1), (spec.A2, spec.B2, spec.a2 + 1))
+    plan = [_frontier_plan(terms, side, top, Ni, _unit_scale(A, B))
+            for side, (A, B, top) in enumerate(sides)]
     for k in range(1, 2 * Ni + 1):
         # each usable instance whose top antidiagonal is k is one equation
         # in the unknown entries of that antidiagonal
@@ -270,27 +287,44 @@ def _solve_frontiers(spec: SemiclassicalSpec, mu, known, residual_tol: float):
             nrows += unk.shape[1]
         if not nrows:
             continue
-        # unknowns are numbered by their flat index into mu
-        ids, col = np.unique(np.concatenate(cols), return_inverse=True)
-        nunk = len(ids)
-        A = np.zeros((nrows, nunk), dtype=complex)
-        np.add.at(A, (np.concatenate(rows), col), np.concatenate(coefs))
-        b = np.concatenate(rhs)
-        # column scaling keeps the rank decision honest
-        colnorm = np.linalg.norm(A, axis=0)
-        if np.any(colnorm == 0):
-            missing = [divmod(int(ij), Ni + 1) for ij in ids[colnorm == 0]]
-            raise SingularFrontier(
-                f"antidiagonal {k}: entries {missing} appear in no usable relation"
-            )
-        x, _, rank, _ = np.linalg.lstsq(A / colnorm, b, rcond=1e-10)
-        if rank < nunk:
-            raise SingularFrontier(
-                f"antidiagonal {k}: frontier system rank {rank} < {nunk} unknowns"
-            )
-        x = x / colnorm
+        rows, cols, coefs, b = (np.concatenate(v) for v in (rows, cols, coefs, rhs))
+        i = cols // (Ni + 1)
+        den = np.bincount(i, coefs.real ** 2 + coefs.imag ** 2)
+        if len(cols) == nrows and den[i].min() >= _TINY:
+            # every equation holds one unknown: the scaled columns are
+            # orthonormal, so least squares is a weighted mean per unknown,
+            # summed over the unknown's row index i. A sum of squares below
+            # the normal range is left to lstsq.
+            b = b[rows]
+            w = coefs.conj() * b
+            x = np.bincount(i, w.real) + 1j * np.bincount(i, w.imag)
+            fixed = den > 0
+            np.divide(x, den, out=x, where=fixed)
+            resid = float(np.max(np.abs(coefs * x[i] - b)))
+            ids = np.flatnonzero(fixed)
+            x = x[ids]
+            ids = ids * (Ni + 1) + (k - ids)
+        else:
+            # unknowns are numbered by their flat index into mu
+            ids, col = np.unique(cols, return_inverse=True)
+            nunk = len(ids)
+            A = np.zeros((nrows, nunk), dtype=complex)
+            np.add.at(A, (rows, col), coefs)
+            # column scaling keeps the rank decision honest
+            colnorm = np.linalg.norm(A, axis=0)
+            if np.any(colnorm == 0):
+                missing = [divmod(int(ij), Ni + 1) for ij in ids[colnorm == 0]]
+                raise SingularFrontier(
+                    f"antidiagonal {k}: entries {missing} appear in no usable relation"
+                )
+            x, _, rank, _ = np.linalg.lstsq(A / colnorm, b, rcond=1e-10)
+            if rank < nunk:
+                raise SingularFrontier(
+                    f"antidiagonal {k}: frontier system rank {rank} < {nunk} unknowns"
+                )
+            x = x / colnorm
+            resid = float(np.max(np.abs(A @ x - b)))
         scale = max(1.0, float(np.max(np.abs(b))), float(np.max(np.abs(x))))
-        resid = float(np.max(np.abs(A @ x - b)))
         if resid > residual_tol * scale:
             raise InconsistentSeed(resid / scale, residual_tol, "frontier residual")
         mu_flat[ids] = x
@@ -303,14 +337,26 @@ def propagate_moments(spec: SemiclassicalSpec, seed, N: int,
 
     Works antidiagonal by antidiagonal: every recurrence instance whose
     highest-order entries sit on the current frontier becomes one linear
-    equation; the (often overdetermined) system is solved by least
-    squares and its residual checked against residual_tol times the
-    scale of the participating entries. The seed block entries are the
-    (a1+1)*(a2+1) free parameters and are never constrained.
+    equation; the (often overdetermined) system is solved in the least-
+    squares sense and each equation's residual checked against
+    residual_tol times the scale of the participating entries. The seed
+    block entries are the (a1+1)*(a2+1) free parameters and are never
+    constrained.
 
     The stencils are evaluated once per call (_frontier_plan); each
     antidiagonal then only gathers which entries are known, builds its
-    right-hand side and solves. Errors can still grow across
+    right-hand side and solves. Each side's coefficients are first
+    multiplied by the power of two that brings its largest one into
+    [1, 2): the recurrences are homogeneous in (A_i, B_i), and without it
+    a side scaled by 1e-100 carries no weight against the other, and the
+    squares below underflow. An equation from a side with
+    deg B_i + 1 < deg A_i holds one unknown. When every equation of an
+    antidiagonal does, the column-scaled system has orthonormal columns
+    and its solution is the weighted mean
+    x_j = sum_r conj(a_rj) b_r / sum_r |a_rj|^2. An antidiagonal with a
+    coupled equation, which only an edge side (deg B_i + 1 = deg A_i)
+    brings, goes through a column-scaled lstsq, which raises
+    SingularFrontier below full rank. Errors can still grow across
     antidiagonals that each pass, so the finished table must also meet
     recurrence_residual <= residual_tol, else InconsistentSeed.
 

@@ -1,13 +1,15 @@
 """Properties of propagate_moments: a returned table meets its recurrences
 to residual_tol, keeps the seed block exactly, carries the right
 provenance and is linear in the seed; otherwise it raises InconsistentSeed."""
+import math
+
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from bimoment.errors import InconsistentSeed  # noqa: E402
+from bimoment.errors import InconsistentSeed, SingularFrontier  # noqa: E402
 from bimoment.polycore import CPoly  # noqa: E402
 from bimoment.semiclassical import (  # noqa: E402
     _recurrence_terms,
@@ -64,24 +66,36 @@ def test_propagation_is_consistent_or_refused(x, y, N, seed):
     assert np.max(np.abs(t12.entries - (t1.entries + 2.0 * t2.entries))) <= 1e-9 * scale
 
 
+def unit_scale(A, B):
+    """The power of two that brings the largest coefficient of A and B into
+    [1, 2)."""
+    peak = max(abs(c) for c in [*A.coeffs, *B.coeffs])
+    return 2.0 ** (1 - math.frexp(peak)[1])
+
+
 def reference_frontiers(spec, seed, N):
     """The per-antidiagonal loop that propagate_moments replaced: both
-    stencils evaluated afresh on every antidiagonal, then the same solve.
-    Returns mu[:N+1, :N+1] without the final growth check."""
+    stencils evaluated afresh on every antidiagonal, each side's
+    coefficients scaled by its unit_scale, then one column-scaled
+    least-squares solve. Returns mu[:N+1, :N+1] without the final growth
+    check."""
     Ni = N + max(spec.a1, spec.a2) + 2
     known = np.zeros((Ni + 1, Ni + 1), dtype=bool)
     mu = np.zeros((Ni + 1, Ni + 1), dtype=complex)
     mu[: spec.a1 + 1, : spec.a2 + 1] = seed
     known[: spec.a1 + 1, : spec.a2 + 1] = True
     terms = _recurrence_terms(spec)
+    sides = ((0, spec.a1 + 1, unit_scale(spec.A1, spec.B1)),
+             (1, spec.a2 + 1, unit_scale(spec.A2, spec.B2)))
     for k in range(1, 2 * Ni + 1):
         rows, cols, coefs, rhs = [], [], [], []
         nrows = 0
-        for side, top in ((0, spec.a1 + 1), (1, spec.a2 + 1)):
+        for side, top, scale in sides:
             if k < top:
                 continue
             n = np.arange(k - top + 1)
             I, J, C = terms(side, n, k - top - n)
+            C = C * scale
             present = C != 0
             inside = (I <= Ni) & (J <= Ni)
             I, J = np.clip(I, 0, Ni), np.clip(J, 0, Ni)
@@ -108,23 +122,42 @@ def reference_frontiers(spec, seed, N):
     return mu[: N + 1, : N + 1]
 
 
-@pytest.mark.parametrize("coeffs", [
+FRONTIER_SPECS = [
     ([0.3, -0.2, 0, 1], [1], [0.3, -0.2, 0, 1], [1]),
     ([0.1 + 0.2j, -0.3, 0.1j, 0.2, 1], [1, 0.3j], [0.25, 0.1, 1], [1]),
     ([0.1, -1, 0.2, 1], [1.2, 0, 0.5], [0.1, 0.2, 0, 1], [0.5]),
     ([0.1, -0.2, 0, 1], [1], [1.25, 0, 1], [0, 0.5]),
     ([0.2j, 2.1], [0.4], [-0.1, 1.9], [0.6]),
-])
-@pytest.mark.parametrize("N", [0, 3, 16])
-def test_frontier_plan_matches_reference_bit_for_bit(coeffs, N):
-    """The plan changes where the stencil is evaluated, not the systems:
-    the same rows, columns and arithmetic give the same bits."""
-    spec = validate_spec(*(CPoly(c) for c in coeffs))
+    # complex leading coefficients of modulus 0.95 and 1.6 (after scaling)
+    ([0.3, -0.2, 0, 0.9 + 0.3j], [1], [0.1j, 0.25, 0.4 - 0.7j], [0.5]),
+]
+# an edge side (deg B = deg A - 1) couples the equations: least squares on
+# every antidiagonal, but for the lone equation in (0, 2) of set 3, which
+# the weighted mean solves to the same bits
+COUPLED = (3, 4)
+FRONTIER_CASES = [(c, N) for N in (0, 3, 16) for c in range(5)] + [
+    (0, 40), (5, 0), (5, 3), (5, 16), (5, 40)]
+
+
+@pytest.mark.parametrize("c, N", FRONTIER_CASES,
+                         ids=[f"{N}-coeffs{c}" for c, N in FRONTIER_CASES])
+def test_frontier_plan_matches_reference_bit_for_bit(c, N):
+    """The plan changes where the stencil is evaluated, not the systems.
+    On the COUPLED sets the same rows, columns and least-squares
+    arithmetic give the same bits. Elsewhere antidiagonals whose equations
+    each hold one unknown take the weighted mean, which sums in another
+    order than the least-squares solve: within 1e-13 of the largest
+    entry."""
+    spec = validate_spec(*(CPoly(p) for p in FRONTIER_SPECS[c]))
     rng = np.random.default_rng(N)
     shape = (spec.a1 + 1, spec.a2 + 1)
     seed = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     got = propagate_moments(spec, seed, N).entries
-    assert got.tobytes() == reference_frontiers(spec, seed, N).tobytes()
+    want = reference_frontiers(spec, seed, N)
+    if c in COUPLED:
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def workload_spec(deg, c):
@@ -167,6 +200,16 @@ def test_frontier_refusal_names_the_frontier():
     with pytest.raises(InconsistentSeed, match="frontier residual") as refused:
         propagate_moments(spec, seed, 6, residual_tol=1e-30)
     assert refused.value.residual > 1e-30
+
+
+def test_a_frontier_coefficient_whose_square_underflows_is_refused():
+    """A1 = 1 + x/2 + 1e-170 x^2: the frontier coefficient's square is 0 in
+    double, so the weighted mean would have no denominator. The
+    antidiagonal goes to least squares, whose column norm is 0 too."""
+    spec = validate_spec(CPoly([1, 0.5, 1e-170]), CPoly([1]),
+                         CPoly([0.3, -0.2, 0, 1]), CPoly([1]))
+    with pytest.raises(SingularFrontier, match=r"entries \[\(2, 0\)\] appear in no usable"):
+        propagate_moments(spec, np.ones((2, 3)), 6)
 
 
 def test_order_40_call_stays_small():

@@ -1144,10 +1144,9 @@ def _gaussian_table12_call():
     (_gaussian_table12_call, 2.5),
 ])
 def test_stacked_passes_keep_memory_flat(call, bound_mb):
-    """Peak traced allocation of one warm call: about 0.3, 1.1, 0.8 and
-    1.2 MB. The generating function is a product rule: forming its coupled
-    kernel exp(rho u vᵀ) whole instead of in blocks of _KERNEL_ROWS rows
-    raises the first to about 2.4 MB. A table is the e^(xy) series: its
+    """Peak traced allocation of one warm call: about 0.1, 1.1, 0.8 and
+    1.2 MB. The generating function and the tables are the e^(xy) series
+    over one-sided moments or transforms, with no coupled kernel: their
     passes hand gfun at most about 2^14 values per call however many
     moments a run integrates."""
     import tracemalloc

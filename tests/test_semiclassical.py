@@ -182,7 +182,8 @@ def test_propagation_is_linear():
 
 
 def test_scaling_equivariance():
-    """(A1, B1) -> (lam A1, lam B1) leaves the recurrence solutions fixed."""
+    """(A1, B1) -> (lam A1, lam B1) leaves the recurrence solutions fixed,
+    also for lam far from 1 (1e-170 to 1e170)."""
     spec = quartic_pair()
     lam = 2.7 - 0.4j
     scaled = validate_spec(lam * spec.A1, lam * spec.B1, spec.A2, spec.B2)
@@ -191,6 +192,19 @@ def test_scaling_equivariance():
     t1 = propagate_moments(spec, seed, 6).entries
     t2 = propagate_moments(scaled, seed, 6).entries
     assert np.allclose(t1, t2, rtol=1e-9, atol=1e-9)
+    # far from 1 on a BB1, a BB2 and a BB3 spec: each side's coefficients
+    # are brought to a common power of two before any solve
+    for A1, B1, A2, B2 in (([0.3, -0.2, 0, 1], [1], [0.3, -0.2, 0, 1], [1]),
+                           ([0.1, -0.2, 0, 1], [1], [1.25, 0, 1], [0, 0.5]),
+                           ([0.2j, 2.1], [0.4], [-0.1, 1.9], [0.6])):
+        spec = validate_spec(CPoly(A1), CPoly(B1), CPoly(A2), CPoly(B2))
+        shape = (spec.a1 + 1, spec.a2 + 1)
+        seed = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        t1 = propagate_moments(spec, seed, 12).entries
+        for lam in (1e-170, 1e-100, 1e100, 1e170):
+            scaled = validate_spec(lam * spec.A1, lam * spec.B1, spec.A2, spec.B2)
+            t2 = propagate_moments(scaled, seed, 12).entries
+            assert np.max(np.abs(t2 - t1)) <= 1e-12 * np.max(np.abs(t1)), (spec.case, lam)
 
 
 def test_reduce_to_linear_gaussian():
