@@ -381,7 +381,9 @@ def integrate_contour(contour: Contour, spec: WeightSpec, gfun, ncomp: int,
         scores = (errs[:, bad] / denom[bad]).max(axis=1)
         order = np.argsort(-scores, kind="stable")
         left = toterr[bad] - np.cumsum(errs[order][:, bad], axis=0)
-        n = 1 + np.count_nonzero(np.any(left > denom[bad], axis=1))
+        # when even removing every panel's error leaves a target unmet,
+        # every panel is split and the stall rule decides
+        n = min(1 + np.count_nonzero(np.any(left > denom[bad], axis=1)), len(vals))
         worst = int(np.argmax(toterr / denom))
         before = errs[order[:n], worst].sum()
         # splice: each split panel becomes its two halves, in path order
@@ -1025,13 +1027,20 @@ def independence_certificate(tables: list) -> IndependenceReport:
     rows = []
     for t in tables:
         v = t.entries.ravel()
-        nrm = np.linalg.norm(v)
+        with np.errstate(over="ignore"):
+            nrm = np.linalg.norm(v)
+        if not np.isfinite(nrm):
+            # entries near the top of the double range: scale them first
+            v = v / np.max(np.abs(v))
+            nrm = np.linalg.norm(v)
         rows.append(v / (nrm if nrm > 0 else 1.0))
     A = np.array(rows)
     sv = np.linalg.svd(A, compute_uv=False)
     rank = int(np.sum(sv > RANK_REL_TOL * sv[0]))
-    return IndependenceReport(rank=rank, expected=len(tables),
-                              sv_ratio=float(sv[-1] / sv[0]), singular_values=sv)
+    # an all-zero family has rank 0, and its ratio is 0 too
+    ratio = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
+    return IndependenceReport(rank=rank, expected=len(tables), sv_ratio=ratio,
+                              singular_values=sv)
 
 
 @dataclass

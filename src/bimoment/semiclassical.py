@@ -10,11 +10,14 @@ and the x<->y mirror. Under the degree assumptions deg(B_i)+1 <= deg(A_i)
 the solution space has dimension exactly (a1+1)*(a2+1) and every solution
 is determined by the seed block mu[0..a1, 0..a2]; propagate_moments
 realizes that determination as a sequence of per-antidiagonal linear
-solves with consistency residuals. On a side with deg(B_i)+1 < deg(A_i)
-each recurrence instance holds one entry of the frontier, so an
-antidiagonal whose equations each hold one unknown is solved as a
-weighted mean per unknown; an antidiagonal with a coupled equation, which
-an edge side (deg(B_i)+1 = deg(A_i)) brings, is solved by least squares.
+solves with consistency residuals. Which entries each antidiagonal's
+equations determine does not depend on the seed, so that structure is
+laid out once per call and each antidiagonal is a gather, a weighted sum,
+a solve and a scatter. On a side with deg(B_i)+1 < deg(A_i) each
+recurrence instance holds one entry of the frontier, so an antidiagonal
+whose equations each hold one unknown is solved as a weighted mean per
+unknown; an antidiagonal with a coupled equation, which an edge side
+(deg(B_i)+1 = deg(A_i)) brings, is solved by least squares.
 """
 from __future__ import annotations
 
@@ -172,7 +175,7 @@ def _recurrence_terms(spec: SemiclassicalSpec):
             acc.setdefault((j, 0), [0j, 0j])[0] -= A.coeff(j)
         # in the order the relation is written
         keys = sorted((k for k, c in acc.items() if any(c)), key=lambda k: (-k[1], k[0]))
-        along, across = np.array(keys).T[:, :, None]
+        along, across = np.array(keys, dtype=np.int32).T[:, :, None]
         c0, c1 = np.array([acc[k] for k in keys]).T[:, :, None]
         stencils.append((along, across, c0, c1))
 
@@ -190,15 +193,20 @@ def _recurrence_terms(spec: SemiclassicalSpec):
 def recurrence_residual(spec: SemiclassicalSpec, table: BimomentTable) -> float:
     """Largest relative defect of the two moment recurrences on the table.
 
-    Every instance whose present terms all fit in the table contributes
+    Each side's coefficients are first multiplied by its _unit_scale: the
+    recurrences are homogeneous in (A_i, B_i), and without it a side whose
+    coefficients are all tiny shows no defect under the floor below. Every
+    instance whose present terms all fit in the table contributes
     |sum_t c_t mu_t| / max(1, max_t |c_t mu_t|).
     """
     N = table.size
     n, m = (g.ravel() for g in np.indices((N + 1, N + 1)))
     terms = _recurrence_terms(spec)
+    scales = (_unit_scale(spec.A1, spec.B1), _unit_scale(spec.A2, spec.B2))
 
     def worst(side):
         I, J, C = terms(side, n, m)
+        C *= scales[side]
         present = C != 0
         fits = np.all(~present | ((I <= N) & (J <= N)), axis=0)
         vals = np.where(present, C * table.entries[np.clip(I, 0, N), np.clip(J, 0, N)], 0)
@@ -218,117 +226,234 @@ def _unit_scale(A: CPoly, B: CPoly) -> float:
     return 2.0 ** (1 - np.frexp(peak)[1])
 
 
-def _frontier_plan(terms, side, top, Ni, scale):
-    """The seed-independent part of one side's frontier equations.
+def _frontier_plan(spec: SemiclassicalSpec, Ni: int):
+    """Everything about the frontier solves that the seed does not change.
 
-    The instances are those whose terms fit in the (Ni+1)^2 grid, ordered
-    by their top antidiagonal k = n + m + top and then by n, so that the
-    equations of antidiagonal k are the columns edges[k]:edges[k+1]. The
-    terms that reach furthest along and across the side have constant
-    nonzero coefficients (deg B_i < deg A_i), so bounding n and m by the
-    stencil's reach keeps exactly the instances that fit. The coefficients
-    are multiplied by scale, a power of two, which is exact. Returns
-    (edges, flat grid index of every term, its coefficient, terms that
-    need not be known (absent, or at or above the frontier), present
-    terms on the frontier), each array of shape (terms, instances).
+    The recurrence instances of both sides whose terms fit in the
+    (Ni+1)^2 grid are the columns of two (terms, instances) arrays: G, the
+    flat grid index of each term, and Cz, its coefficient. The terms that
+    reach furthest along and across a side have constant nonzero
+    coefficients (deg B_i < deg A_i), so bounding n and m by the stencil's
+    reach keeps exactly the instances that fit. Each side's coefficients
+    are multiplied by its _unit_scale, which is exact, and a side with
+    fewer terms is padded with zero terms on entry 0.
+
+    An entry is known when it is in the seed block or on the frontier of a
+    usable instance, one whose present terms below its frontier are all
+    known. Those terms lie on lower antidiagonals, so the known pattern is
+    the unique fixed point of this rule, and it is every frontier entry:
+    the leading terms of A_i and B_i are present in every instance, so
+    every entry outside the seed block is on the frontier of an instance
+    that fits, but for the grid's last corner, which no instance that fits
+    needs. One whole-grid check confirms that every instance is usable.
+    Each holds an unknown, its leading A_i term, which is outside the seed
+    block, and is one equation. The equations are ordered by top
+    antidiagonal k = n + m + deg A_i, then side, then n. Their unknown
+    terms get coefficient 0 in Cz: mu holds 0 there until they are solved.
+
+    Returns (known, steps): known is the flat pattern, and steps lists, in
+    order of antidiagonal, what the solve does, as tuples whose first item
+    names the kind. ids are the flat indices of an antidiagonal's unknowns
+    in increasing order; the right-hand sides of a block's equations are
+    -sum_t Cz[t] mu[G[t]].
+    - ("mean", ids, G, Cz, conj(coef), inv2, -den, out): every equation
+      holds one unknown and every sum of squares is normal. One
+      column-major block holds the equations of both sides; coef is each
+      equation's unknown coefficient, inv2 the index of its unknown into
+      ids for the interleaved real and imaginary parts, den = sum |coef|^2
+      per unknown, and out the slots of minus the right-hand sides.
+    - ("check", conj(coef), flat, eoff, ids, uoff, out): the residual
+      checks of the "mean" antidiagonals since the last check, ahead of the
+      next antidiagonal of another kind. flat is each equation's unknown,
+      eoff and uoff are where each antidiagonal's equations and unknowns
+      start, and out holds their slots.
+    - ("lstsq", k, ids, blocks, A, A / colnorm, colnorm): an antidiagonal
+      with a coupled equation; blocks holds each side's (G, Cz) block, in
+      the order of the rows of A.
+    - ("singular", message): the SingularFrontier to raise when a column
+      of such an A is 0.
     """
-    reach_i, reach_j, _ = terms(side, 0, 0)
-    n, m = (g.ravel() for g in np.indices((Ni + 1 - reach_i.max(), Ni + 1 - reach_j.max())))
-    order = np.lexsort((n, n + m))
-    n, m = n[order], m[order]
-    k = n + m + top
-    I, J, C = terms(side, n, m)
-    C *= scale
-    present = C != 0
-    # absent terms may point off the grid; their index is clipped. In
-    # place: these (terms, instances) arrays set the call's peak memory.
-    np.clip(I, 0, Ni, out=I)
-    np.clip(J, 0, Ni, out=J)
-    level = I + J
-    level -= k
-    free, front = ~present | (level >= 0), present & (level == 0)
-    del level
-    I *= Ni + 1
-    I += J
-    edges = np.searchsorted(k, np.arange(2 * Ni + 2)).tolist()
-    return edges, I.astype(np.int32), C, free, front
-
-
-def _solve_frontiers(spec: SemiclassicalSpec, mu, known, residual_tol: float):
-    """Fill mu and known in place, antidiagonal by antidiagonal (see
-    propagate_moments). The plan lives only as long as this call."""
-    Ni = len(mu) - 1
-    known_flat, mu_flat = known.reshape(-1), mu.reshape(-1)
+    W = Ni + 1
+    span = np.arange(2 * Ni + 2)
     terms = _recurrence_terms(spec)
-    sides = ((spec.A1, spec.B1, spec.a1 + 1), (spec.A2, spec.B2, spec.a2 + 1))
-    plan = [_frontier_plan(terms, side, top, Ni, _unit_scale(A, B))
-            for side, (A, B, top) in enumerate(sides)]
-    for k in range(1, 2 * Ni + 1):
-        # each usable instance whose top antidiagonal is k is one equation
-        # in the unknown entries of that antidiagonal
-        rows, cols, coefs, rhs = [], [], [], []
-        nrows = 0
-        for edges, flat, coef, free, front in plan:
-            lo, hi = edges[k], edges[k + 1]
-            if lo == hi:
-                continue
-            f, C = flat[:, lo:hi], coef[:, lo:hi]
-            kn = known_flat[f]
-            # usable: every present term below the frontier is known
-            usable = np.all(kn | free[:, lo:hi], axis=0)
-            unk = front[:, lo:hi] & usable & ~kn
-            active = unk.any(axis=0)
-            unk, f, C = unk[:, active], f[:, active], C[:, active]
-            t, r = np.nonzero(unk)
-            rows.append(nrows + r)
-            cols.append(f[t, r])
-            coefs.append(C[t, r])
-            rhs.append(-np.where(unk, 0, C * mu_flat[f]).sum(axis=0))
-            nrows += unk.shape[1]
-        if not nrows:
+    n, m, S, K, rows = [], [], [], [], []
+    for side, top in enumerate((spec.a1 + 1, spec.a2 + 1)):
+        reach_i, reach_j, _ = terms(side, 0, 0)
+        ns, ms = (g.ravel() for g in np.indices((W - reach_i.max(), W - reach_j.max()),
+                                                 dtype=np.int32))
+        n.append(ns)
+        m.append(ms)
+        S.append(np.full(len(ns), side, dtype=np.int8))
+        K.append(ns + ms + top)
+        rows.append(len(reach_i))
+    n, m, S, K = (np.concatenate(v) for v in (n, m, S, K))
+    order = np.argsort((2 * K.astype(np.int64) + S) * W + n)
+    n, m, S, K = n[order], m[order], S[order], K[order]
+    del order
+    # each side's stencil on its instances, the indices of absent terms
+    # (which may point off the grid) clipped in place
+    parts = []
+    for side, (A, B) in enumerate(((spec.A1, spec.B1), (spec.A2, spec.B2))):
+        cols = np.flatnonzero(S == side)
+        I, J, C = terms(side, n[cols], m[cols])
+        C *= _unit_scale(A, B)
+        present = C != 0
+        np.clip(I, 0, Ni, out=I)
+        np.clip(J, 0, Ni, out=J)
+        level = I + J
+        level -= K[cols]
+        free = ~present | (level >= 0)  # absent, or at or above the frontier
+        front = present & (level == 0)  # present and on the frontier
+        I *= W
+        I += J
+        parts.append((cols, I, C, free, front))
+        del I, J, C, present, level
+    del n, m
+    # column-major, so that numpy sums the terms of each equation along a
+    # contiguous axis. The plan sets the call's peak memory, so a side's
+    # arrays are freed once copied.
+    shape = (max(rows), len(K))
+    G = np.zeros(shape, dtype=np.intp, order="F")
+    front = np.zeros(shape, dtype=bool, order="F")
+    for cols, flat, _, _, fr in parts:
+        G[: len(flat), cols] = flat
+        front[: len(fr), cols] = fr
+    seeds = np.zeros((W, W), dtype=bool)
+    seeds[: spec.a1 + 1, : spec.a2 + 1] = True
+    seeds = seeds.ravel()
+    known = seeds.copy()
+    known[G[front]] = True
+    if not all((known[flat] | f).all() for _, flat, _, f, _ in parts):
+        raise SingularFrontier("a recurrence instance needs an entry that no equation determines")
+    parts = [(cols, C) for cols, _, C, _, _ in parts]
+    del cols, flat, fr
+    Cz = np.zeros(shape, dtype=complex, order="F")
+    while parts:
+        cols, C = parts.pop()
+        Cz[: len(C), cols] = C
+    del cols, C
+
+    # the unknown terms, column by column
+    c, t = np.nonzero((front & ~seeds[G]).T)
+    del front
+    coef, eflat = Cz[t, c], G[t, c]
+    Cz[t, c] = 0
+    ek = K[c]
+    cedge, eedge = np.searchsorted(K, span), np.searchsorted(ek, span)
+    counts = [np.bincount(K[S == side], minlength=len(span)) for side in range(2)]
+    del t, K, S
+    # the unknowns, by antidiagonal and then row
+    key = ek * W + eflat // W
+    seen = np.zeros(len(span) * W, dtype=bool)
+    seen[key] = True
+    uk, ui = np.divmod(np.flatnonzero(seen), W)
+    inv = (np.cumsum(seen) - 1)[key]
+    ids = ui * W + (uk - ui)
+    den = np.bincount(inv, coef.real ** 2 + coef.imag ** 2)
+    uedge = np.searchsorted(uk, span)
+    inv -= uedge[ek]
+    mean = np.diff(cedge) == np.diff(eedge)
+    mean[uk[den < _TINY]] = False
+    del ek, key, seen, uk, ui
+    inv2 = np.stack((2 * inv, 2 * inv + 1), axis=1).ravel()
+    del inv
+    cconj = np.conjugate(coef, out=coef)
+    nden = -den
+    del coef, den
+    height = np.maximum(*(np.where(count > 0, r, 0) for count, r in zip(counts, rows)))
+
+    # minus the right-hand sides of the weighted means, one slot per equation
+    bneg = np.empty(len(cconj), dtype=complex)
+
+    def check(run):
+        """The residual check of the weighted-mean antidiagonals run."""
+        e, u = slice(eedge[run[0]], eedge[run[-1] + 1]), slice(uedge[run[0]], uedge[run[-1] + 1])
+        return ("check", cconj[e], eflat[e], eedge[run] - e.start, ids[u], uedge[run] - u.start,
+                bneg[e])
+
+    steps, run = [], []
+    ks = np.flatnonzero(np.diff(cedge))
+    bounds = np.stack((cedge[ks], cedge[ks + 1], eedge[ks], eedge[ks + 1], uedge[ks],
+                       uedge[ks + 1], height[ks], counts[0][ks], mean[ks]), axis=1)
+    for k, (lo, hi, elo, ehi, ulo, uhi, r, mid, one) in zip(ks.tolist(), bounds.tolist()):
+        mid += lo
+        if one:
+            g, cz = G[:r, lo:hi], Cz[:r, lo:hi]
+            if r < shape[0]:
+                g, cz = np.asfortranarray(g), np.asfortranarray(cz)
+            steps.append(("mean", ids[ulo:uhi], g, cz, cconj[elo:ehi], inv2[2 * elo: 2 * ehi],
+                          nden[ulo:uhi], bneg[elo:ehi]))
+            run.append(k)
             continue
-        rows, cols, coefs, b = (np.concatenate(v) for v in (rows, cols, coefs, rhs))
-        i = cols // (Ni + 1)
-        den = np.bincount(i, coefs.real ** 2 + coefs.imag ** 2)
-        if len(cols) == nrows and den[i].min() >= _TINY:
-            # every equation holds one unknown: the scaled columns are
-            # orthonormal, so least squares is a weighted mean per unknown,
-            # summed over the unknown's row index i. A sum of squares below
-            # the normal range is left to lstsq.
-            b = b[rows]
-            w = coefs.conj() * b
-            x = np.bincount(i, w.real) + 1j * np.bincount(i, w.imag)
-            fixed = den > 0
-            np.divide(x, den, out=x, where=fixed)
-            resid = float(np.max(np.abs(coefs * x[i] - b)))
-            ids = np.flatnonzero(fixed)
-            x = x[ids]
-            ids = ids * (Ni + 1) + (k - ids)
-        else:
-            # unknowns are numbered by their flat index into mu
-            ids, col = np.unique(cols, return_inverse=True)
-            nunk = len(ids)
-            A = np.zeros((nrows, nunk), dtype=complex)
-            np.add.at(A, (rows, col), coefs)
-            # column scaling keeps the rank decision honest
-            colnorm = np.linalg.norm(A, axis=0)
-            if np.any(colnorm == 0):
-                missing = [divmod(int(ij), Ni + 1) for ij in ids[colnorm == 0]]
+        if run:
+            steps.append(check(run))
+            run = []
+        A = np.zeros((hi - lo, uhi - ulo), dtype=complex)
+        A[c[elo:ehi] - lo, inv2[2 * elo: 2 * ehi: 2] // 2] = cconj[elo:ehi].conj()
+        # column scaling keeps the rank decision honest
+        colnorm = np.linalg.norm(A, axis=0)
+        if np.any(colnorm == 0):
+            missing = [divmod(int(ij), W) for ij in ids[ulo:uhi][colnorm == 0]]
+            steps.append(("singular", f"antidiagonal {k}: entries {missing} appear in no "
+                                      "usable relation"))
+            continue
+        blocks = [(np.asfortranarray(G[:h, a:b]), np.asfortranarray(Cz[:h, a:b]))
+                  for h, a, b in ((rows[0], lo, mid), (rows[1], mid, hi)) if b > a]
+        steps.append(("lstsq", k, ids[ulo:uhi], blocks, A, A / colnorm, colnorm))
+    if run:
+        steps.append(check(run))
+    return known, steps
+
+
+def _solve_frontiers(spec: SemiclassicalSpec, mu, residual_tol: float):
+    """Fill mu in place, antidiagonal by antidiagonal, and return the
+    pattern of the entries the seed block determines (see
+    propagate_moments). The plan lives only as long as this call."""
+    known, steps = _frontier_plan(spec, len(mu) - 1)
+    mu_flat = mu.reshape(-1)
+    for kind, *data in steps:
+        if kind == "mean":
+            # the scaled columns are orthonormal, so least squares is a
+            # weighted mean per unknown: x_j = sum_r conj(a_rj) b_r / den_j.
+            # Here b holds minus the right-hand sides, and nden = -den.
+            ids, G, Cz, cconj, inv2, nden, b = data
+            np.add.reduce(Cz * mu_flat[G], axis=0, out=b)
+            x = np.bincount(inv2, (cconj * b).view(float), minlength=2 * len(ids)).view(complex)
+            x /= nden
+            mu_flat[ids] = x
+        elif kind == "check":
+            # each antidiagonal's residual check, for a run of means at once:
+            # every entry they read or wrote is final. The first to fail raises.
+            cconj, flat, eoff, ids, uoff, b = data
+            scale = np.maximum.reduceat(np.abs(b), eoff)
+            np.maximum(scale, np.maximum.reduceat(np.abs(mu_flat[ids]), uoff), out=scale)
+            np.maximum(scale, 1.0, out=scale)
+            r = cconj.conj()
+            r *= mu_flat[flat]
+            r += b
+            resid = np.maximum.reduceat(np.abs(r), eoff)
+            bad = np.flatnonzero(resid > residual_tol * scale)
+            if len(bad):
+                i = bad[0]
+                raise InconsistentSeed(float(resid[i] / scale[i]), residual_tol,
+                                       "frontier residual")
+        elif kind == "lstsq":
+            k, ids, blocks, A, scaled, colnorm = data
+            b = -np.concatenate([(Cz * mu_flat[G]).sum(axis=0) for G, Cz in blocks])
+            x, _, rank, _ = np.linalg.lstsq(scaled, b, rcond=1e-10)
+            if rank < len(ids):
                 raise SingularFrontier(
-                    f"antidiagonal {k}: entries {missing} appear in no usable relation"
-                )
-            x, _, rank, _ = np.linalg.lstsq(A / colnorm, b, rcond=1e-10)
-            if rank < nunk:
-                raise SingularFrontier(
-                    f"antidiagonal {k}: frontier system rank {rank} < {nunk} unknowns"
+                    f"antidiagonal {k}: frontier system rank {rank} < {len(ids)} unknowns"
                 )
             x = x / colnorm
-            resid = float(np.max(np.abs(A @ x - b)))
-        scale = max(1.0, float(np.max(np.abs(b))), float(np.max(np.abs(x))))
-        if resid > residual_tol * scale:
-            raise InconsistentSeed(resid / scale, residual_tol, "frontier residual")
-        mu_flat[ids] = x
-        known_flat[ids] = True
+            resid = float(np.abs(A @ x - b).max())
+            scale = max(1.0, float(np.abs(np.concatenate((b, x))).max()))
+            if resid > residual_tol * scale:
+                raise InconsistentSeed(resid / scale, residual_tol, "frontier residual")
+            mu_flat[ids] = x
+        else:
+            raise SingularFrontier(data[0])
+    return known.reshape(mu.shape)
 
 
 def propagate_moments(spec: SemiclassicalSpec, seed, N: int,
@@ -343,9 +468,15 @@ def propagate_moments(spec: SemiclassicalSpec, seed, N: int,
     block entries are the (a1+1)*(a2+1) free parameters and are never
     constrained.
 
-    The stencils are evaluated once per call (_frontier_plan); each
-    antidiagonal then only gathers which entries are known, builds its
-    right-hand side and solves. Each side's coefficients are first
+    Which equations an antidiagonal holds, which entries they determine
+    and the arrays that solve them depend on the spec and N, not on the
+    seed, so they are worked out once per call, for all antidiagonals at
+    once (_frontier_plan). Each antidiagonal is then one gather of mu, one
+    weighted sum for the right-hand sides, the solve and one scatter of
+    the solution. The residual checks of a run of weighted-mean
+    antidiagonals are made together after it, each against its own
+    antidiagonal's scale, and the first to fail raises. Each side's
+    coefficients are first
     multiplied by the power of two that brings its largest one into
     [1, 2): the recurrences are homogeneous in (A_i, B_i), and without it
     a side scaled by 1e-100 carries no weight against the other, and the
@@ -376,11 +507,9 @@ def propagate_moments(spec: SemiclassicalSpec, seed, N: int,
         raise ValueError("seed block has a non-finite entry")
     # internal margin lets instances reach across the cropped edge
     Ni = N + max(spec.a1, spec.a2) + 2
-    known = np.zeros((Ni + 1, Ni + 1), dtype=bool)
     mu = np.zeros((Ni + 1, Ni + 1), dtype=complex)
     mu[: spec.a1 + 1, : spec.a2 + 1] = seed
-    known[: spec.a1 + 1, : spec.a2 + 1] = True
-    _solve_frontiers(spec, mu, known, residual_tol)
+    known = _solve_frontiers(spec, mu, residual_tol)
 
     if not np.all(known[: N + 1, : N + 1]):
         holes = np.argwhere(~known[: N + 1, : N + 1])

@@ -129,6 +129,38 @@ def test_moments_weight_past_the_double_range_exit_5(tmp_path, capsys):
         "quadrature failure: QuadratureStall: non-finite weight sample"]
 
 
+# Specs from a seeded random-spec sweep on which the panel bisection once
+# asked to split more panels than it had, and raised a broadcast ValueError
+# (numpy default_rng(0), spec 124, and default_rng(1), spec 67): removing
+# every panel's error left a target unmet.
+UNMET_TARGETS = {
+    "rng0-124": ([0.4189440674086477, 0.5914798181657097, -0.21275144394597612,
+                  -2.309464326331448, -1.188045937272743],
+                 [-2.37669350358787, 1.4900956247882555],
+                 [-0.2997819302312724, 0.0, -1.1977493393883782], [0.13603239438315368]),
+    "rng1-67": ([-0.3836996423895763, 0.0, 0.25417684586906436, -0.6339845117683953,
+                 -0.1358189783450904], [-0.03948580667080763],
+                [0.0, -0.9681957119118773], [-1.4119273436107618]),
+}
+
+
+@pytest.mark.parametrize("name, argv, code", [
+    ("rng0-124", ["moments", "--order", "6"], 0),
+    ("rng0-124", ["certify", "--order", "3", "--skip-asymptotics"], 0),
+    ("rng1-67", ["certify", "--order", "3", "--skip-asymptotics"], 5),
+], ids=["rng0-124-moments", "rng0-124-certify", "rng1-67-certify"])
+def test_splitting_every_panel_ends_in_an_exit_code(tmp_path, capsys, name, argv, code):
+    """Every panel is split, and the engine's own rules decide: convergence,
+    or the stall rule's QuadratureStall (exit 5)."""
+    spec = write_spec(tmp_path, "spec.json", *UNMET_TARGETS[name])
+    assert main([argv[0], spec, *argv[1:]]) == code
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.startswith("quadrature failure: QuadratureStall: tolerance unreachable")
+
+
 def test_moments_order_zero_single_entry(gaussian_spec, tmp_path):
     out = tmp_path / "m0.csv"
     assert main(["moments", gaussian_spec, "--order", "0", "--out", str(out)]) == 0

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -137,3 +140,28 @@ def test_recurrence_json_roundtrip():
     assert back.gamma == [complex(g) for g in rec.gamma]
     assert back.a == [[complex(v) for v in row] for row in rec.a]
     assert back.pi0 == complex(rec.pi0)
+
+
+def test_an_ill_conditioned_table_is_accurate_and_still_misses_1e_8():
+    """Order-12 recurrence data of the benchmark's algebra workload (seed
+    23) whose table reaches |mu| = 1.5e8 against |h| <= 3.3. The table
+    lies within 1e-14 of a 60-digit one built from the same factors, entry
+    by entry. That 60-digit table, rounded to double, still misses
+    favard_verify's 1e-8: the miss comes from the conditioning."""
+    mpmath = pytest.importorskip("mpmath")
+    path = Path(__file__).with_name("favard_ill_conditioned.json")
+    rec = recurrence_from_json_dict(json.loads(path.read_text()))
+    N = rec.order
+    Cp, h, Cs = rec.factors(N)
+
+    def mp(A):
+        return mpmath.matrix([[mpmath.mpc(complex(z)) for z in row] for row in A])
+
+    with mpmath.workdps(60):
+        exact = mpmath.inverse(mp(Cp)) * mpmath.diag([mpmath.mpc(complex(z)) for z in h]) \
+            * mpmath.inverse(mp(Cs)).T
+        want = np.array([[complex(exact[i, j]) for j in range(N + 1)] for i in range(N + 1)])
+    got = favard_reconstruct(rec, N).entries
+    assert np.max(np.abs(want)) > 1e8
+    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+    assert favard_verify(rec, BimomentTable(want)) > 1e-8

@@ -13,11 +13,12 @@ from bimoment.errors import InconsistentSeed, SingularFrontier  # noqa: E402
 from bimoment.polycore import CPoly  # noqa: E402
 from bimoment.semiclassical import (  # noqa: E402
     _recurrence_terms,
+    _solve_frontiers,
     propagate_moments,
     recurrence_residual,
     validate_spec,
 )
-from bimoment.tables import PROV_INPUT, PROV_RECURRENCE  # noqa: E402
+from bimoment.tables import PROV_INPUT, PROV_RECURRENCE, BimomentTable  # noqa: E402
 
 TOL = 1e-8
 
@@ -73,12 +74,21 @@ def unit_scale(A, B):
     return 2.0 ** (1 - math.frexp(peak)[1])
 
 
-def reference_frontiers(spec, seed, N):
+def reference_frontiers(spec, seed, N, residual_tol=None, coupled=None, below=None):
     """The per-antidiagonal loop that propagate_moments replaced: both
     stencils evaluated afresh on every antidiagonal, each side's
     coefficients scaled by its unit_scale, then one column-scaled
-    least-squares solve. Returns mu[:N+1, :N+1] without the final growth
-    check."""
+    least-squares solve. Returns mu[:N+1, :N+1].
+
+    An entry in no usable relation raises SingularFrontier. Given
+    residual_tol, the loop also refuses as propagate_moments does: a rank-
+    deficient system or an entry never determined raises SingularFrontier,
+    and a frontier residual or a finished table's recurrence_residual above
+    residual_tol raises InconsistentSeed. A dict passed as coupled maps
+    each antidiagonal with an equation to whether an equation holds more
+    than one unknown. Given below, a grid of the loop's size, the right-
+    hand sides read their known entries from it, so that every
+    antidiagonal is solved from the same inputs as the grid's own."""
     Ni = N + max(spec.a1, spec.a2) + 2
     known = np.zeros((Ni + 1, Ni + 1), dtype=bool)
     mu = np.zeros((Ni + 1, Ni + 1), dtype=complex)
@@ -108,18 +118,73 @@ def reference_frontiers(spec, seed, N):
             rows.append(nrows + r)
             cols.append(I[t, r] * (Ni + 1) + J[t, r])
             coefs.append(C[t, r])
-            rhs.append(-np.where(unk, 0, C * mu[I, J]).sum(axis=0))
+            rhs.append(-np.where(unk, 0, C * (mu if below is None else below)[I, J]).sum(axis=0))
             nrows += int(active.sum())
         if not nrows:
             continue
         ids, col = np.unique(np.concatenate(cols), return_inverse=True)
+        if coupled is not None:
+            coupled[k] = len(col) > nrows
         A = np.zeros((nrows, len(ids)), dtype=complex)
         np.add.at(A, (np.concatenate(rows), col), np.concatenate(coefs))
+        b = np.concatenate(rhs)
         colnorm = np.linalg.norm(A, axis=0)
-        x = np.linalg.lstsq(A / colnorm, np.concatenate(rhs), rcond=1e-10)[0] / colnorm
+        if np.any(colnorm == 0):
+            raise SingularFrontier(f"antidiagonal {k}: an entry appears in no usable relation")
+        x, _, rank, _ = np.linalg.lstsq(A / colnorm, b, rcond=1e-10)
+        x = x / colnorm
+        if residual_tol is not None:
+            if rank < len(ids):
+                raise SingularFrontier(f"antidiagonal {k}: rank {rank} < {len(ids)}")
+            resid = np.max(np.abs(A @ x - b))
+            scale = max(1.0, np.max(np.abs(b)), np.max(np.abs(x)))
+            if resid > residual_tol * scale:
+                raise InconsistentSeed(resid / scale, residual_tol, "frontier residual")
         mu.flat[ids] = x
         known.flat[ids] = True
+    if residual_tol is not None:
+        if not np.all(known[: N + 1, : N + 1]):
+            raise SingularFrontier("entries never determined")
+        growth = recurrence_residual(spec, BimomentTable(mu[: N + 1, : N + 1]))
+        if growth > residual_tol:
+            raise InconsistentSeed(growth, residual_tol, "table recurrence residual")
     return mu[: N + 1, : N + 1]
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(side(), side(), st.integers(0, 24), st.integers(0, 2**32 - 1))
+@example(([0.1, -1, 0.2, 1], [1.2, 0, 0.5]), ([0.1, 0.2, 0, 1], [0.5]), 24, 0)
+def test_propagation_matches_the_reference_loop(x, y, N, seed):
+    """The plan changes where the structure of the frontier systems is
+    worked out, not the systems. Propagation refuses where the
+    per-antidiagonal loop refuses, with the same exception class. Solved
+    from the same entries below it, an antidiagonal with a coupled
+    equation takes the same least-squares arithmetic, bit for bit; one
+    whose equations each hold one unknown takes the weighted mean, within
+    1e-13 of the largest entry."""
+    spec = validate_spec(CPoly(x[0]), CPoly(x[1]), CPoly(y[0]), CPoly(y[1]))
+    rng = np.random.default_rng(seed)
+    shape = (spec.a1 + 1, spec.a2 + 1)
+    block = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    try:
+        reference_frontiers(spec, block, N, residual_tol=TOL)
+    except (InconsistentSeed, SingularFrontier) as refused:
+        with pytest.raises(type(refused)):
+            propagate_moments(spec, block, N, residual_tol=TOL)
+        return
+    got = propagate_moments(spec, block, N, residual_tol=TOL).entries
+    # the whole grid, of which the table is the corner
+    Ni = N + max(spec.a1, spec.a2) + 2
+    grid = np.zeros((Ni + 1, Ni + 1), dtype=complex)
+    grid[: shape[0], : shape[1]] = block
+    _solve_frontiers(spec, grid, TOL)
+    assert grid[: N + 1, : N + 1].tobytes() == got.tobytes()
+    coupled = {}
+    want = reference_frontiers(spec, block, N, coupled=coupled, below=grid)
+    level = np.add.outer(np.arange(N + 1), np.arange(N + 1))
+    exact = np.isin(level, [k for k, c in coupled.items() if c])
+    assert got[exact].tobytes() == want[exact].tobytes()
+    assert np.max(np.abs(got - want), initial=0) <= 1e-13 * np.max(np.abs(got))
 
 
 FRONTIER_SPECS = [
@@ -130,13 +195,15 @@ FRONTIER_SPECS = [
     ([0.2j, 2.1], [0.4], [-0.1, 1.9], [0.6]),
     # complex leading coefficients of modulus 0.95 and 1.6 (after scaling)
     ([0.3, -0.2, 0, 0.9 + 0.3j], [1], [0.1j, 0.25, 0.4 - 0.7j], [0.5]),
+    # the benchmark's degree-2 workload family (set 0 is its degree-3 one)
+    ([0.3, -0.2, 1], [1], [-0.45, 0.41, 1], [1]),
 ]
 # an edge side (deg B = deg A - 1) couples the equations: least squares on
 # every antidiagonal, but for the lone equation in (0, 2) of set 3, which
 # the weighted mean solves to the same bits
 COUPLED = (3, 4)
 FRONTIER_CASES = [(c, N) for N in (0, 3, 16) for c in range(5)] + [
-    (0, 40), (5, 0), (5, 3), (5, 16), (5, 40)]
+    (0, 40), (5, 0), (5, 3), (5, 16), (5, 40), (6, 24), (6, 40)]
 
 
 @pytest.mark.parametrize("c, N", FRONTIER_CASES,
@@ -213,9 +280,10 @@ def test_a_frontier_coefficient_whose_square_underflows_is_refused():
 
 
 def test_order_40_call_stays_small():
-    """The per-side plan holds (terms, instances) arrays of flat int32
-    indices, coefficients and two masks; one warm N=40 call peaks near
-    0.75 MB (the per-antidiagonal loop alone peaked near 0.24 MB)."""
+    """The plan holds one (terms, equations) array of flat int32 indices
+    and one of coefficients for both sides, and the weights of every
+    unknown; one warm N=40 call peaks near 0.91 MB (near 0.75 MB with a
+    plan of each side's stencils alone)."""
     import tracemalloc
 
     spec = workload_spec(3, (0.3, -0.2))

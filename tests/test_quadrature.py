@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from bimoment.errors import DivergentCoupling, DivergentTail
-from bimoment.tables import monic_bops, pair_apply
+from bimoment.tables import BimomentTable, monic_bops, pair_apply
 from bimoment.polycore import CPoly
 from bimoment.quadrature import (
     FunctionalHandle,
@@ -703,6 +703,58 @@ def test_independence_gaussian_rank_one(gauss_setup):
     _, setup = gauss_setup
     rep = independence_certificate([h.table(1) for h in setup.handles])
     assert rep.rank == 1 == rep.expected
+
+
+def test_independence_near_the_top_of_the_double_range(quartic_setup):
+    """Tables near 1e225 overflow the plain norm; they are scaled first,
+    and read as the same family at unit scale does, with no warning."""
+    _, setup = quartic_setup
+    tables = [h.table(3) for h in setup.handles]
+    big = [BimomentTable(1e225 * t.entries / np.max(np.abs(t.entries))) for t in tables]
+    rep, ref = independence_certificate(big), independence_certificate(tables)
+    assert rep.rank == 9 and rep.passed
+    assert rep.sv_ratio == pytest.approx(ref.sv_ratio, rel=1e-9)
+
+
+def test_independence_of_an_all_zero_family_is_rank_zero():
+    rep = independence_certificate([BimomentTable(np.zeros((4, 4)))] * 3)
+    assert (rep.rank, rep.expected, rep.sv_ratio, rep.passed) == (0, 3, 0.0, False)
+
+
+# --- recurrence residuals at any scale ---------------------------------------
+
+@pytest.fixture(scope="module")
+def pole_loop_37():
+    """certify's order-4 tables of (x^3, 1; y^2 + 3.7, y/2): on the
+    radius-0.01 loop, the handles (i, 1) miss their recurrences by O(1)."""
+    spec = validate_spec(CPoly([0, 0, 0, 1]), ONE, CPoly([3.7, 0, 1]), CPoly([0, 0.5]))
+    return spec, [h.table(4) for h in make_setup(spec).handles]
+
+
+def scaled(spec, lam):
+    return validate_spec(*(lam * p for p in (spec.A1, spec.B1, spec.A2, spec.B2)))
+
+
+@pytest.mark.parametrize("lam", [1e-100, 1e-20, 1.0, 1e20, 1e100])
+def test_a_spec_scale_does_not_hide_a_recurrence_defect(pole_loop_37, lam):
+    """The recurrences are homogeneous in (A_i, B_i), so scaling every
+    coefficient leaves the residual, and certify's FAIL above its 1e-6
+    default, where they are."""
+    spec, tables = pole_loop_37
+    want = max(recurrence_residual(spec, t) for t in tables)
+    got = max(recurrence_residual(scaled(spec, lam), t) for t in tables)
+    assert want > 1e-6
+    assert got == pytest.approx(want, rel=1e-9)
+
+
+def test_one_bad_entry_shows_on_a_scaled_spec(quartic_setup):
+    spec, setup = quartic_setup
+    table = setup.handles[0].table(4)
+    bad = table.entries.copy()
+    bad[1, 1] += 1e-3
+    small = scaled(spec, 1e-20)
+    assert recurrence_residual(small, table) <= 1e-12
+    assert recurrence_residual(small, BimomentTable(bad)) > 1e-6
 
 
 # --- steepest descent asymptotics ------------------------------------------
