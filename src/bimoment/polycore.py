@@ -234,14 +234,24 @@ class PartialFraction:
 
 
 def poly_eval(p: CPoly, x):
-    """Horner evaluation; broadcasts over array arguments."""
+    """Horner evaluation; broadcasts over array arguments. A scalar x, a
+    numpy scalar included, is evaluated in Python complex arithmetic, which
+    rounds as numpy's complex scalars do."""
     p = _coerce(p)
+    if isinstance(x, (complex, float, int, np.number)) or not np.ndim(x):
+        cs = p.coeffs.tolist()
+        if not cs:
+            return 0j
+        acc, x = cs[-1], complex(x)
+        for c in cs[-2::-1]:
+            acc = acc * x + c
+        return acc
     if p.is_zero():
-        return np.zeros_like(np.asarray(x, dtype=complex)) if np.ndim(x) else 0j
-    acc = np.full_like(np.asarray(x, dtype=complex), p.coeffs[-1]) if np.ndim(x) else p.coeffs[-1]
+        return np.zeros_like(np.asarray(x, dtype=complex))
+    acc = np.full_like(np.asarray(x, dtype=complex), p.coeffs[-1])
     for c in p.coeffs[-2::-1]:
         acc = acc * x + c
-    return acc if np.ndim(x) else complex(acc)
+    return acc
 
 
 def poly_roots(p: CPoly) -> RootMultiset:

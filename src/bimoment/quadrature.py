@@ -6,11 +6,15 @@ Refinement runs in global-error rounds (QUADPACK qag; Gander & Gautschi,
 BIT 40, 2000). The initial panels, and then the new halves of each round,
 are evaluated together on stacked nodes: one weight call over all of
 them, and g on at most about 2^14 integrand values per call, so memory
-stays flat however many panels a round splits. Unbounded pieces are
-truncated where the sampled integrand has dropped ~20 decades below its
-running maximum; multivalued weight factors are continued along the path
-from a fixed anchor point so branch choices do not depend on truncation or
-panel counts.
+stays flat however many panels a round splits. A pass maps the nodes of
+all its segment panels at once and each arc per piece. Unbounded pieces
+are truncated where the sampled integrand has dropped ~20 decades below
+its running maximum, on a geometric ladder of lengths sampled a chunk at
+a time (one weight call and one integrand call per chunk) and decided
+node by node, so the length does not depend on the chunks; multivalued
+weight factors are continued along the path from a fixed anchor point so
+branch choices do not depend on truncation or panel counts. A run whose
+weight samples are all 0 after its first pass raises QuadratureStall.
 
 A bimoment table comes from the series of the kernel e^(rho x y): each
 entry is sum_k rho^k/k! a[n+k] b[m+k] over the one-sided moments of the
@@ -84,6 +88,9 @@ _XGK = np.array([-x for x in _XK[:-1]] + _XK[::-1])
 _WGK = np.array(_WK + _WK[-2::-1])
 _WG = np.array(_WGH + _WGH[-2::-1])
 _GAUSS_IDX = np.arange(1, 15, 2)
+# the weights as complex, which matmul would otherwise cast on every panel
+_WGK_C = _WGK.astype(complex)
+_WG_C = _WG.astype(complex)
 
 MAX_PANELS_PER_PIECE = 2 ** 14
 # initial panels on a segment longer than 3, before any bisection, and the
@@ -118,16 +125,17 @@ class _QPiece:
     geom: object                  # Seg or Arc
     theta_in: dict                # sing index -> arg at t = 0
 
-    def thetas(self, spec: WeightSpec, t: np.ndarray) -> dict:
+    def thetas(self, spec: WeightSpec, t: np.ndarray, x: np.ndarray) -> dict:
+        """The continued args at the parameters t, whose points are x."""
         out = {}
-        x = self.geom.point(t)
         for idx, th0 in self.theta_in.items():
             X = spec.singularities[idx].location
             out[idx] = th0 + _relative_angle(self.geom, X, x, t)
         return out
 
     def theta_out(self, spec: WeightSpec) -> dict:
-        return {i: float(th[0]) for i, th in self.thetas(spec, np.array([1.0])).items()}
+        t = np.array([1.0])
+        return {i: float(th[0]) for i, th in self.thetas(spec, t, self.geom.point(t)).items()}
 
 
 def _relative_angle(geom, X: complex, x: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -177,10 +185,21 @@ def _subdivide_for_tracking(geom, spec: WeightSpec):
     return out
 
 
+# the truncation ladder: at most _TRUNCATION_STEPS lengths T, T 1.35, ...,
+# probed in chunks of _FIRST_PROBE_CHUNK lengths, each chunk twice the last
+_TRUNCATION_STEPS = 200
+_FIRST_PROBE_CHUNK = 8
+
+
 def _truncate_ray(spec: WeightSpec, ray, gprobe) -> float:
     """Length at which the sampled |W * g| has fallen ~20 decades below its
     running maximum along the ray. Raises DivergentTail when the direction
-    is not a decay direction or the samples keep growing."""
+    is not a decay direction or the samples keep growing.
+
+    The ladder T, T 1.35, ... is sampled a chunk at a time, one weight call
+    and one gprobe call per chunk, and decided node by node in ladder
+    order, so the length and any DivergentTail do not depend on the chunk
+    sizes; samples past the decision are discarded."""
     u = ray.direction / abs(ray.direction)
     if not direction_decays(spec, u):
         raise DivergentTail(
@@ -192,22 +211,31 @@ def _truncate_ray(spec: WeightSpec, ray, gprobe) -> float:
     T = max(1.0, (8.0 / max(abs(spec.v_top), 1e-12)) ** (1.0 / (d + 1)))
     logmax = -np.inf
     grows = 0
-    for _ in range(200):
-        x = x0 + T * u
-        lw = spec.log_weight_principal(np.array([x]))[0].real
-        g = gprobe(np.array([x]))
-        ga = float(np.max(np.abs(g)))
-        logm = lw + (math.log(ga) if ga > 0 else -np.inf)
-        if logm > logmax:
-            grows += 1
-            logmax = logm
-        else:
-            grows = 0
-        if logm < logmax - 46.0:
-            return T
-        if grows > 60:
-            raise DivergentTail("integrand keeps growing along the ray")
-        T *= 1.35
+    done, chunk = 0, _FIRST_PROBE_CHUNK
+    while done < _TRUNCATION_STEPS:
+        ladder = []
+        for _ in range(min(chunk, _TRUNCATION_STEPS - done)):
+            ladder.append(T)
+            T *= 1.35
+        done += len(ladder)
+        chunk *= 2
+        x = np.array([x0 + t * u for t in ladder])
+        # far past the decision a sample may leave the double range; it is
+        # never looked at
+        with np.errstate(over="ignore", invalid="ignore"):
+            lws = spec.log_weight_principal(x).real.tolist()
+            gas = np.max(np.abs(np.atleast_2d(gprobe(x))), axis=0).tolist()
+        for t, lw, ga in zip(ladder, lws, gas):
+            logm = lw + (math.log(ga) if ga > 0 else -np.inf)
+            if logm > logmax:
+                grows += 1
+                logmax = logm
+            else:
+                grows = 0
+            if logm < logmax - 46.0:
+                return t
+            if grows > 60:
+                raise DivergentTail("integrand keeps growing along the ray")
     raise DivergentTail("truncation search exhausted")
 
 
@@ -258,14 +286,29 @@ def _prepare(contour: Contour, spec: WeightSpec, gprobe) -> list:
     return qpieces
 
 
+class _Path:
+    """The prepared pieces of a contour, with every segment's start a and
+    step b - a in arrays indexed by piece (0 on the arcs), so that a pass
+    maps the nodes of all its segment panels at once."""
+
+    def __init__(self, qpieces: list):
+        self.qpieces = qpieces
+        segs = [isinstance(qp.geom, Seg) for qp in qpieces]
+        self.arcs = not all(segs)
+        self.start = np.array([qp.geom.a if s else 0j for qp, s in zip(qpieces, segs)],
+                              dtype=complex)
+        self.step = np.array([qp.geom.b - qp.geom.a if s else 0j
+                              for qp, s in zip(qpieces, segs)], dtype=complex)
+
+
 # --- panel machinery ------------------------------------------------------
 
 def _panel_eval(half: float, f: np.ndarray):
     """Kronrod value and |Kronrod - Gauss| of one panel of half-width half
     (in the piece parameter) from its samples f = g(x) W(x) dx/dt, shape
     (ncomp, 15)."""
-    k15 = half * (f @ _WGK)
-    g7 = half * (f[:, _GAUSS_IDX] @ _WG)
+    k15 = half * (f @ _WGK_C)
+    g7 = half * (f[:, _GAUSS_IDX] @ _WG_C)
     return k15, np.abs(k15 - g7)
 
 
@@ -274,11 +317,12 @@ def _panel_eval(half: float, f: np.ndarray):
 _STACK_VALUES = 2 ** 14
 
 
-def _eval_pass(spec: WeightSpec, qpieces: list, piece: np.ndarray, t0: np.ndarray,
+def _eval_pass(spec: WeightSpec, path: _Path, piece: np.ndarray, t0: np.ndarray,
                t1: np.ndarray, gfun, ncomp: int):
-    """Evaluate the panels [t0, t1] of qpieces[piece] (in path order) on
-    stacked nodes: per piece one geometry and branch pass, one weight call
-    over all the nodes, and gfun in blocks of about _STACK_VALUES values.
+    """Evaluate the panels [t0, t1] of path.qpieces[piece] (in path order)
+    on stacked nodes: the segment panels in one geometry pass, the arcs and
+    the branches per piece, one weight call over all the nodes, and gfun in
+    blocks of about _STACK_VALUES values.
 
     Returns (k15, err, x, wdx) with shapes (P, ncomp), (P, ncomp), (P, 15)
     and (P, 15): _panel_eval's result per panel, the nodes and the values
@@ -286,30 +330,38 @@ def _eval_pass(spec: WeightSpec, qpieces: list, piece: np.ndarray, t0: np.ndarra
     """
     half = 0.5 * (t1 - t0)
     t = (0.5 * (t0 + t1))[:, None] + half[:, None] * _XGK
-    # the panels of one piece are consecutive
-    edges = [0, *(np.flatnonzero(np.diff(piece)) + 1).tolist(), len(piece)]
-    xs, vels, thetas = [], [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        qp = qpieces[piece[a]]
-        tt = t[a:b].ravel()
-        xs.append(qp.geom.point(tt))
-        vels.append(qp.geom.velocity(tt))
-        thetas.append(qp.thetas(spec, tt))
-    x = np.concatenate(xs)
-    wdx = spec.weight_tracked(x, {i: np.concatenate([th[i] for th in thetas])
-                                  for i in thetas[0]}) * np.concatenate(vels)
+    P = len(piece)
+    # a segment's point a + (b - a) t and velocity b - a, as Seg.point forms
+    # the point; the rows of arc panels are overwritten below
+    ds = path.step[piece][:, None]
+    x = path.start[piece][:, None] + ds * t
+    vel = np.repeat(ds, 15, axis=1)
+    thetas = {i: np.empty((P, 15)) for i in path.qpieces[0].theta_in}
+    if thetas or path.arcs:
+        # the panels of one piece are consecutive
+        edges = [0, *(np.flatnonzero(piece[1:] != piece[:-1]) + 1).tolist(), P]
+        for a, b in zip(edges[:-1], edges[1:]):
+            qp = path.qpieces[piece[a]]
+            if isinstance(qp.geom, Arc):
+                x[a:b], vel[a:b] = qp.geom.point_velocity(t[a:b])
+            for i, th in qp.thetas(spec, t[a:b], x[a:b]).items():
+                thetas[i][a:b] = th
+    x = x.ravel()
+    wdx = spec.weight_tracked(x, {i: th.ravel() for i, th in thetas.items()}) * vel.ravel()
     step = max(1, _STACK_VALUES // (15 * max(ncomp, 1)))
-    evs = []
-    for p0 in range(0, len(piece), step):
+    for p0 in range(0, P, step):
         nodes = slice(15 * p0, 15 * (p0 + step))
         f = np.atleast_2d(gfun(x[nodes])) * wdx[nodes]
         if not np.all(np.isfinite(f)):
             what = "weight" if not np.all(np.isfinite(wdx[nodes])) else "integrand"
             raise QuadratureStall(f"non-finite {what} sample")
-        evs.extend(_panel_eval(h, f[:, c:c + 15])
-                   for h, c in zip(half[p0:p0 + step], range(0, f.shape[1], 15)))
-    return (np.array([ev[0] for ev in evs]), np.array([ev[1] for ev in evs]),
-            x.reshape(-1, 15), wdx.reshape(-1, 15))
+        if not p0:
+            vals = np.empty((P, len(f)), dtype=complex)
+            errs = np.empty((P, len(f)))
+        for p, h in enumerate(half[p0:p0 + step].tolist(), start=p0):
+            c = 15 * (p - p0)
+            vals[p], errs[p] = _panel_eval(h, f[:, c:c + 15])
+    return vals, errs, x.reshape(-1, 15), wdx.reshape(-1, 15)
 
 
 def _targets(total: np.ndarray, totabs: np.ndarray, rtol: float, atol: float = 0.0):
@@ -348,15 +400,20 @@ def integrate_contour(contour: Contour, spec: WeightSpec, gfun, ncomp: int,
     if rtol is None:
         rtol = default_tolerance()
     qpieces = _prepare(contour, spec, gfun if probe is None else probe)
+    path = _Path(qpieces)
 
     # the panels in path order: piece index, parameter interval, Kronrod
-    # value, error, nodes and W(x) dx/dt at the nodes
+    # value and error, and for _panels the nodes and W(x) dx/dt there
     cuts = [_LONG_SEG_CUTS if isinstance(qp.geom, Seg) and abs(qp.geom.b - qp.geom.a) > 3.0
             else _UNIT_CUTS for qp in qpieces]
     piece = np.repeat(np.arange(len(cuts)), [len(c) - 1 for c in cuts])
     t0 = np.concatenate([c[:-1] for c in cuts])
     t1 = np.concatenate([c[1:] for c in cuts])
-    vals, errs, x, wdx = _eval_pass(spec, qpieces, piece, t0, t1, gfun, ncomp)
+    vals, errs, x, wdx = _eval_pass(spec, path, piece, t0, t1, gfun, ncomp)
+    if not np.any(wdx):
+        # the weight underflows at every node: a zero result would be no
+        # integral, only the end of the double range
+        raise QuadratureStall("every weight sample is 0")
 
     budget = max_panels * len(qpieces)
     stalls = 0
@@ -389,15 +446,18 @@ def integrate_contour(contour: Contour, spec: WeightSpec, gfun, ncomp: int,
         # splice: each split panel becomes its two halves, in path order
         split = np.zeros(len(vals), dtype=bool)
         split[order[:n]] = True
-        piece, t0, t1, vals, errs, x, wdx = (np.repeat(a, 1 + split, axis=0)
-                                             for a in (piece, t0, t1, vals, errs, x, wdx))
-        lo = np.flatnonzero(split) + np.arange(n)
+        idx = np.repeat(np.arange(len(vals)), 1 + split)
+        halves = np.flatnonzero(split[idx])
+        lo = halves[::2]
+        piece, t0, t1, vals, errs = piece[idx], t0[idx], t1[idx], vals[idx], errs[idx]
         tm = 0.5 * (t0[lo] + t1[lo])
         t1[lo] = tm
         t0[lo + 1] = tm
-        halves = np.stack([lo, lo + 1], axis=1).ravel()
-        vals[halves], errs[halves], x[halves], wdx[halves] = _eval_pass(
-            spec, qpieces, piece[halves], t0[halves], t1[halves], gfun, ncomp)
+        vals[halves], errs[halves], xh, wh = _eval_pass(
+            spec, path, piece[halves], t0[halves], t1[halves], gfun, ncomp)
+        if _panels is not None:
+            x, wdx = x[idx], wdx[idx]
+            x[halves], wdx[halves] = xh, wh
         # a sequential sum in path order: np.sum pairs terms and rounds
         # differently, which could move the stall decision
         after = np.cumsum(errs[halves, worst])[-1]
@@ -429,6 +489,8 @@ def laplace_many(contour: Contour, spec: WeightSpec, zs: np.ndarray,
 
     def gfun(x):
         ez = np.exp(np.multiply.outer(zs, x))              # (nz, nx)
+        if not max_m:
+            return ez
         pows = np.ones((max_m + 1, len(x)), dtype=complex)  # (m, nx)
         for m in range(1, max_m + 1):
             pows[m] = pows[m - 1] * x
@@ -660,7 +722,8 @@ def _hankel_block(contour: Contour, spec: WeightSpec, N: int, K: int,
     component is O(1) on the monomial weight, so the engine's target
     rtol (1 + |a_j/s_j|) is a relative one. The powers are formed
     incrementally, already scaled, so x^j itself is never formed; the
-    factor s_(n+k)/sqrt(k!) is formed from lgamma.
+    factor s_(n+k)/sqrt(k!) is formed from lgamma. Raises QuadratureStall
+    when H or dH leaves the double range.
 
     The run's (values, errors) are memoized under (id(contour), id(spec),
     N + K, rtol), rtol resolved through default_tolerance; the memo keeps
@@ -695,8 +758,13 @@ def _hankel_block(contour: Contour, spec: WeightSpec, N: int, K: int,
             _moment_memo.pop(old, None)
     k = np.arange(K + 1)
     hankel = np.add.outer(np.arange(N + 1), k)
-    G = np.exp(logs[hankel] - 0.5 * _lgammas(1.0, K))
-    return val[hankel] * G, err[hankel] * G
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = np.exp(logs[hankel] - 0.5 * _lgammas(1.0, K))
+        H, dH = val[hankel] * G, err[hankel] * G
+    if not (np.all(np.isfinite(H)) and np.all(np.isfinite(dH))):
+        raise QuadratureStall(f"moments a[n+k]/sqrt(k!) of the order-{N} table with "
+                              f"{K + 1} series terms leave the double range")
+    return H, dH
 
 
 def _series_length(handle: FunctionalHandle, N: int, of: Optional[str] = None) -> int:
@@ -742,7 +810,8 @@ def bimoment_table(handle: FunctionalHandle, N: int,
     QuadratureStall. The error is sum_k |rho|^k/k! (|da| |b| + |a| |db|)
     plus the last window, floored at the roundoff of the summed |terms|: a
     term carries the n + m + 2k roundings of its powers x^(n+k) y^(m+k),
-    and exp(-lgamma(k+1)) stands for 1/k! to within lgamma(k+1) ulps.
+    and exp(-lgamma(k+1)) stands for 1/k! to within lgamma(k+1) ulps. A
+    table or error that leaves the double range raises QuadratureStall.
     """
     if N < 0:
         raise ValueError(f"table order must be >= 0, got {N}")
@@ -750,27 +819,33 @@ def bimoment_table(handle: FunctionalHandle, N: int,
         raise DivergentCoupling("both marginal weights need d >= 1")
     _gaussian_coupling_guard(handle)
     K = _series_length(handle, N)
-    while True:
-        k = np.arange(K + 1)
-        c = np.abs(handle.rho) ** k
-        (A, dA), (B, dB) = (_hankel_block(handle.cx, handle.wx, N, K, rtol),
-                            _hankel_block(handle.cy, handle.wy, N, K, rtol))
-        absA, absB = np.abs(A) * c, np.abs(B)
-        mass = absA @ absB.T
-        last = slice(K + 1 - _SERIES_WINDOW, None)
-        window = absA[:, last] @ absB[:, last].T
-        if np.all(window <= _SERIES_GUARD * mass):
-            break
-        if K == _SERIES_MAX_K:
-            raise _series_stall(N)
-        K = min(2 * K, _SERIES_MAX_K)
-    n = np.arange(N + 1)
-    mu = (A * handle.rho ** k) @ B.T
-    err = (dA * c) @ absB.T + absA @ dB.T + window
-    roundoff = 2e-16 * ((np.add.outer(n, n) + 2) * mass
-                        + (absA * (2 * k + _lgammas(1.0, K))) @ absB.T)
+    # finite Hankel blocks can still give sums past the double range; such a
+    # table is refused below, so numpy need not warn as well
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            k = np.arange(K + 1)
+            c = np.abs(handle.rho) ** k
+            (A, dA), (B, dB) = (_hankel_block(handle.cx, handle.wx, N, K, rtol),
+                                _hankel_block(handle.cy, handle.wy, N, K, rtol))
+            absA, absB = np.abs(A) * c, np.abs(B)
+            mass = absA @ absB.T
+            last = slice(K + 1 - _SERIES_WINDOW, None)
+            window = absA[:, last] @ absB[:, last].T
+            if np.all(window <= _SERIES_GUARD * mass):
+                break
+            if K == _SERIES_MAX_K:
+                raise _series_stall(N)
+            K = min(2 * K, _SERIES_MAX_K)
+        n = np.arange(N + 1)
+        mu = (A * handle.rho ** k) @ B.T
+        err = (dA * c) @ absB.T + absA @ dB.T + window
+        roundoff = 2e-16 * ((np.add.outer(n, n) + 2) * mass
+                            + (absA * (2 * k + _lgammas(1.0, K))) @ absB.T)
+        err = np.maximum(err, roundoff)
+    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(err))):
+        raise QuadratureStall(f"the order-{N} table or its error leaves the double range")
     return BimomentTable(mu, np.full((N + 1, N + 1), PROV_QUADRATURE, dtype=np.int8),
-                         np.maximum(err, roundoff))
+                         err)
 
 
 # --- one-sided transforms from seeds -----------------------------------------

@@ -97,6 +97,8 @@ class WeightSpec:
         singularities (thetas maps singularity index -> arg array)."""
         x = np.asarray(x, dtype=complex)
         acc = -poly_eval(self.Vplus, x)
+        if not self.singularities:
+            return acc
         with np.errstate(divide="ignore", invalid="ignore"):
             for idx, sng in enumerate(self.singularities):
                 dxv = x - sng.location
@@ -114,7 +116,10 @@ class WeightSpec:
         with np.errstate(over="ignore", invalid="ignore"):
             out = np.exp(lw)
         # a node sitting on a singularity inside its decay region: W -> 0
-        return np.where(np.isnan(out) & (lw.real == -np.inf), 0.0, out)
+        nan = np.isnan(out)
+        if nan.any():
+            out[nan & (lw.real == -np.inf)] = 0.0
+        return out
 
 
 def build_weight(A, B) -> WeightSpec:
@@ -212,9 +217,6 @@ class Seg:
     def point(self, t):
         return self.a + (self.b - self.a) * np.asarray(t)
 
-    def velocity(self, t):
-        return np.full_like(np.asarray(t, dtype=complex), self.b - self.a)
-
 
 @dataclass(frozen=True)
 class Arc:
@@ -227,9 +229,11 @@ class Arc:
         th = self.th0 + (self.th1 - self.th0) * np.asarray(t)
         return self.center + self.radius * np.exp(1j * th)
 
-    def velocity(self, t):
+    def point_velocity(self, t):
+        """(point, dx/dt) at t, from one exponential."""
         th = self.th0 + (self.th1 - self.th0) * np.asarray(t)
-        return 1j * self.radius * (self.th1 - self.th0) * np.exp(1j * th)
+        e = np.exp(1j * th)
+        return self.center + self.radius * e, 1j * self.radius * (self.th1 - self.th0) * e
 
 
 @dataclass(frozen=True)

@@ -138,3 +138,37 @@ def recurrence_defect(spec, table) -> float:
                 scale = max(1.0, float(np.max(np.abs(coeffs * table.entries))))
                 worst = max(worst, abs(total) / scale)
     return worst
+
+
+def truncate_ray_one_node(spec, ray, gprobe) -> float:
+    """Reference ray truncation: the ladder T, T 1.35, ... of at most 200
+    lengths, probed one node per weight call and one per gprobe call. The
+    length where |W g| has fallen 46 units of log below its running
+    maximum; DivergentTail for a direction outside the decay sectors,
+    after 61 rises in a row, or at the end of the ladder."""
+    from bimoment.errors import DivergentTail
+    from bimoment.weights import InRay, direction_decays
+
+    u = ray.direction / abs(ray.direction)
+    if not direction_decays(spec, u):
+        raise DivergentTail(f"ray direction {u:.4f} is not inside a decay sector")
+    x0 = ray.end if isinstance(ray, InRay) else ray.start
+    T = max(1.0, (8.0 / max(abs(spec.v_top), 1e-12)) ** (1.0 / (spec.d + 1)))
+    logmax = -np.inf
+    grows = 0
+    for _ in range(200):
+        x = x0 + T * u
+        lw = spec.log_weight_principal(np.array([x]))[0].real
+        ga = float(np.max(np.abs(gprobe(np.array([x])))))
+        logm = lw + (math.log(ga) if ga > 0 else -np.inf)
+        if logm > logmax:
+            grows += 1
+            logmax = logm
+        else:
+            grows = 0
+        if logm < logmax - 46.0:
+            return T
+        if grows > 60:
+            raise DivergentTail("integrand keeps growing along the ray")
+        T *= 1.35
+    raise DivergentTail("truncation search exhausted")

@@ -129,6 +129,64 @@ def test_moments_weight_past_the_double_range_exit_5(tmp_path, capsys):
         "quadrature failure: QuadratureStall: non-finite weight sample"]
 
 
+@pytest.mark.parametrize("argv, order", [
+    (["moments", "--order", "6"], 6),
+    (["certify", "--order", "4"], 4),
+], ids=["moments", "certify"])
+def test_moments_past_the_double_range_of_the_series_exit_5(tmp_path, capsys, argv, order):
+    """A1 = -0.1715 + 0.0108x, B1 = 1.192 (default_rng(1), spec 126 of a
+    random-spec sweep): a weight so wide that the scaled one-sided moments
+    a[n+k]/sqrt(k!) of the series pass the double range. Refused with one
+    stderr line, where the overflow once ended in raw warnings and an
+    uncaught ValueError."""
+    spec = write_spec(tmp_path, "wide.json", [-0.1715, 0.0108], [1.192],
+                      [-0.800, 1.890, 0.742, -0.329], [-0.113, 0.160])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([argv[0], spec, *argv[1:]])
+    assert rc == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"quadrature failure: QuadratureStall: moments a[n+k]/sqrt(k!) of the "
+        f"order-{order} table with 385 series terms leave the double range"]
+
+
+def test_moments_whose_table_sums_pass_the_double_range_exit_5(tmp_path, capsys):
+    """A_i = 3e-4 x^3, B_i = 1: the one-sided moments stay finite, their
+    series sums do not. Refused with one stderr line, where the overflow
+    once ended in raw warnings and an uncaught ValueError."""
+    spec = write_spec(tmp_path, "wide.json", [0, 0, 0, 3e-4], [1], [0, 0, 0, 3e-4], [1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["moments", spec, "--order", "4"])
+    assert rc == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "quadrature failure: QuadratureStall: the order-4 table or its error leaves "
+        "the double range"]
+
+
+@pytest.mark.parametrize("argv", [["moments", "--order", "6"], ["certify", "--order", "4"]],
+                         ids=["moments", "certify"])
+def test_a_weight_that_underflows_everywhere_exit_5(tmp_path, capsys, argv):
+    """A1 = -2.02 + 1.87x + 0.87x^2 + 0.66x^3, B1 = -1.62 - 0.025x^2: W
+    underflows to 0 at every node, where the table once came out all zero,
+    errors and residual included, with exit 0 (and certify crashed on a
+    division by zero)."""
+    spec = write_spec(tmp_path, "tiny.json", [-2.02, 1.87, 0.87, 0.66], [-1.62, 0, -0.025],
+                      [0, 0, 0, 1], [1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([argv[0], spec, *argv[1:]])
+    assert rc == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "quadrature failure: QuadratureStall: every weight sample is 0"]
+
+
 # Specs from a seeded random-spec sweep on which the panel bisection once
 # asked to split more panels than it had, and raised a broadcast ValueError
 # (numpy default_rng(0), spec 124, and default_rng(1), spec 67): removing

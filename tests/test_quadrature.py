@@ -1145,29 +1145,40 @@ def test_stacked_pass_is_bit_identical_to_one_panel_at_a_time(monkeypatch):
 
 def test_stacked_calls_stay_within_the_value_budget(monkeypatch):
     """gfun never sees more than max(1, _STACK_VALUES // (15 ncomp))
-    panels at once, and every panel is still one _panel_eval call."""
+    panels at once, and every panel is still one _panel_eval call. The
+    truncation probes see the ladder a chunk at a time."""
     from bimoment import quadrature
 
     w = build_weight(CPoly([1.25, 0, 1]), CPoly([0, 0.5]))
     c = build_contours(w)[0]
     monkeypatch.setattr(quadrature, "_STACK_VALUES", 15 * 5 * 3)
-    sizes, panels = [], [0]
+    sizes, probes, panels, probing = [], [], [0], [False]
     original = quadrature._panel_eval
+    truncate = quadrature._truncate_ray
 
     def counted(*args):
         panels[0] += 1
         return original(*args)
 
+    def flagged(*args):
+        probing[0] = True
+        try:
+            return truncate(*args)
+        finally:
+            probing[0] = False
+
     def g(x):
-        sizes.append(len(x))
+        (probes if probing[0] else sizes).append(len(x))
         return _powers(x)
 
     monkeypatch.setattr(quadrature, "_panel_eval", counted)
+    monkeypatch.setattr(quadrature, "_truncate_ray", flagged)
     mesh = quadrature._adapt_mesh(c, w, g, 5, 1e-10)
-    # the truncation probes see one node, a stacked call 1 to 3 panels
-    stacked = [n for n in sizes if n > 1]
-    assert max(stacked) == 45 and set(stacked) <= {15, 30, 45}
-    assert sum(stacked) == 15 * panels[0] >= len(mesh.x)
+    # a probe call takes one chunk of 8, 16, 32, 64 or the last 80 lengths,
+    # a stacked call 1 to 3 panels
+    assert probes and set(probes) <= {8, 16, 32, 64, 80}
+    assert max(sizes) == 45 and set(sizes) <= {15, 30, 45}
+    assert sum(sizes) == 15 * panels[0] >= len(mesh.x)
 
 
 def _gaussian_generating_call():

@@ -1,13 +1,17 @@
 """One-sided transforms from seeds and the Pearson recurrence, and the
 generating function F(z, w) summed from them as the e^(xy) series."""
+import cmath
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
 from bimoment import quadrature
 from bimoment.polycore import CPoly
-from bimoment.quadrature import default_tolerance, generating_eval, make_setup
+from bimoment.quadrature import default_tolerance, generating_eval, laplace, make_setup
 from bimoment.semiclassical import validate_spec
-from bimoment.weights import build_contours, build_weight, normalize_potential
+from bimoment.weights import build_contours, build_weight, normalize_potential, trace_sdc
 
 from oracles import gaussian_generating
 
@@ -258,3 +262,75 @@ def test_generating_matches_the_product_rule(name):
                 h, lambda x: np.exp(z * x)[:, None], lambda y: np.exp(w * y)[:, None], None)
             want = complex(F[0, 0])
             assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (h.i, h.j, z, w)
+
+
+# --- the benchmark's contract -------------------------------------------------
+
+def _counted_panels(monkeypatch):
+    count = [0]
+    original = quadrature._panel_eval
+
+    def counted(*args):
+        count[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(quadrature, "_panel_eval", counted)
+    return count
+
+
+def test_a_repeated_call_evaluates_its_panels_again(monkeypatch):
+    """laplace and generating_eval keep nothing between calls: the same
+    call made twice evaluates as many panels the second time, so no cache
+    can answer one transform from another."""
+    count = _counted_panels(monkeypatch)
+    w = build_weight(CPoly([0, 0, 1]), CPoly(ONE))
+    loop = build_contours(w)[1]
+    h = make_setup(validate_spec(CPoly([0, 1.8]), CPoly(ONE), CPoly([0, 1.6]),
+                                 CPoly(ONE))).handle(0, 0)
+    for call in (lambda: laplace(loop, w, 0.4 - 0.3j), lambda: generating_eval(h, 0.3, -0.2)):
+        seen = []
+        for _ in range(2):
+            before = count[0]
+            call()
+            seen.append(count[0] - before)
+        assert seen[0] > 0 and seen[1] == seen[0]
+
+
+def _hex(v: complex):
+    return v.real.hex(), v.imag.hex()
+
+
+def test_transforms_and_a_table_keep_their_bits(monkeypatch):
+    """float.hex of results recorded before the engine's per-call overhead
+    was cut (ray probes in chunks, preallocated panel results, segment
+    nodes in one pass, scalar Horner in Python complex): the Airy loop at
+    four points, one steepest-descent point, one Gaussian F(z, w) and the
+    quartic table of order 4, entries and errors as SHA-256 of their
+    little-endian bytes."""
+    monkeypatch.delenv("BIMOMENT_TOL", raising=False)
+    w2 = build_weight(CPoly([0, 0, 1]), CPoly(ONE))
+    loop = build_contours(w2)[1]
+    airy = {
+        0j: ("0x1.0000000000000p-52", "0x1.1d87cf05457a1p+1"),
+        1.2 - 0.7j: ("-0x1.1fca1b93ccd5dp-1", "0x1.db2fe836f4387p-2"),
+        -1.1 + 0.4j: ("-0x1.501ce4e974ad1p-4", "0x1.d3b933020491fp+1"),
+        0.5 + 1.3j: ("0x1.025b505d6d01cp+1", "0x1.1430335d006bcp-1"),
+    }
+    for z, want in airy.items():
+        assert _hex(laplace(loop, w2, z, 0)) == want, z
+    w3 = build_weight(CPoly([0, 0, 0, 1]), CPoly(ONE))
+    z = 30.0 * cmath.exp(-1j * math.pi / 16)
+    assert _hex(laplace(trace_sdc(w3, z, 0), w3, z, 0)) == (
+        "0x1.b5a0c40419219p+95", "0x1.d5c56ec826df5p+95")
+    h = make_setup(validate_spec(CPoly([0, 1.8]), CPoly(ONE), CPoly([0, 1.6]),
+                                 CPoly(ONE))).handle(0, 0)
+    assert _hex(generating_eval(h, 0.3 - 0.5j, -0.2 + 0.4j)) == (
+        "0x1.159e89a5f0c68p+2", "-0x1.8478b6c1fc14ap-2")
+    q = make_setup(validate_spec(CPoly([0, 0, 0, 1]), CPoly(ONE), CPoly([0, 0, 0, 1]),
+                                 CPoly(ONE))).handle(0, 0)
+    t = q.table(4)
+    assert _hex(complex(t.entries[4, 4])) == ("0x1.0765e8c984e8bp+4", "0x1.a52b0035adf2ap-1")
+    digest = [hashlib.sha256(a.astype(a.dtype.newbyteorder("<")).tobytes()).hexdigest()
+              for a in (t.entries, t.err)]
+    assert digest == ["fede4c3acecc479eee91a2d52e284b24a532e7284a27f71ca19939c398a34222",
+                      "f37855a76e3c230674f63a064582e4fb8eebd61e6ba3b82c89823976a1f1d5a8"]
